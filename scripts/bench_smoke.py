@@ -9,15 +9,18 @@ Usage::
 
 Measures ``fig2.run(scale="ci")`` (the benchmark the hot-loop overhauls
 were tuned on: 8 runs, sequential/random × 1–8 cores, plus full stack
-accounting) and writes the result to ``BENCH_PR5.json`` next to the
-committed baseline. The wall-clock number is the best of three
+accounting) and gates it against the committed baseline in
+``BENCH_PR5.json``. The tracked ``BENCH_PR*.json`` files are rewritten
+only with ``--update-baseline``; every other run writes its records,
+under the same names, to the gitignored ``.perfbench/bench_smoke/``.
+The wall-clock number is the best of three
 back-to-back runs (later runs reuse the memoized trace blocks —
 deliberately part of the system under test); the median is recorded
 alongside it so the JSON shows the noise floor, not just the lucky run.
 An extra cProfile-instrumented run attributes time to coarse phases —
 DRAM controller, CPU core model, stack accounting, workload generation —
 so a regression's location is visible from the JSON without
-re-profiling. The same measurement is also recorded to
+re-profiling. The same measurement is also recorded as
 ``BENCH_PR10.json`` against the packed-engine wall-clock target
 (see docs/performance.md). Exit status:
 
@@ -52,6 +55,10 @@ STD_RESULT_FILE = REPO_ROOT / "BENCH_PR9.json"
 #: against the PR 10 wall-clock target rather than the regression
 #: baseline. Informational — the regression gate stays BENCH_PR5.json.
 PR10_RESULT_FILE = REPO_ROOT / "BENCH_PR10.json"
+#: Where a run that does not update the baseline writes its records:
+#: the tracked files above are the committed trajectory, never
+#: rewritten by an ordinary run.
+RUN_RECORD_DIR = REPO_ROOT / ".perfbench" / "bench_smoke"
 #: PR 10's aspirational fig2(ci) target (best-of-N min, fresh process).
 PR10_TARGET_SECONDS = 5.0
 
@@ -164,6 +171,15 @@ def profile_phases(figure: str = "fig2") -> dict:
     return phases
 
 
+def record_path(tracked: Path, update_baseline: bool) -> Path:
+    """The file a run writes for `tracked`: the tracked file itself
+    only when updating the baseline, else its gitignored run copy."""
+    if update_baseline:
+        return tracked
+    RUN_RECORD_DIR.mkdir(parents=True, exist_ok=True)
+    return RUN_RECORD_DIR / tracked.name
+
+
 def gate_and_record(
     result_file: Path,
     label: str,
@@ -175,8 +191,9 @@ def gate_and_record(
 ) -> int:
     """Compare one measurement against its committed baseline file.
 
-    Writes the (possibly re-baselined) JSON record and prints the
-    verdict; returns the exit status for this benchmark alone.
+    Writes the (possibly re-baselined) JSON record (see
+    :func:`record_path`) and prints the verdict; returns the exit
+    status for this benchmark alone.
     """
     previous = {}
     if result_file.exists():
@@ -212,7 +229,7 @@ def gate_and_record(
         )
         return 1
 
-    result_file.write_text(json.dumps({
+    record_path(result_file, update_baseline).write_text(json.dumps({
         "benchmark": label,
         "baseline_seconds": round(baseline, 2),
         "measured_seconds": round(elapsed, 2),
@@ -265,6 +282,7 @@ def record_pr10(
     runs: list[float],
     digest: str,
     phases: dict | None,
+    update_baseline: bool,
 ) -> None:
     """Write the packed-engine fig2(ci) record (``BENCH_PR10.json``).
 
@@ -276,7 +294,7 @@ def record_pr10(
     never fails the gate; correctness is still pinned by the
     fingerprint recorded here and checked by tests/golden.
     """
-    PR10_RESULT_FILE.write_text(json.dumps({
+    record_path(PR10_RESULT_FILE, update_baseline).write_text(json.dumps({
         "benchmark": "fig2-ci-packed",
         "engine": "packed",
         "target_seconds": PR10_TARGET_SECONDS,
@@ -332,7 +350,7 @@ def main(argv: list[str] | None = None) -> int:
             "phases": phases,
         },
     )
-    record_pr10(elapsed, runs, digest, phases)
+    record_pr10(elapsed, runs, digest, phases, args.update_baseline)
 
     if not args.skip_figstd:
         previous_std = {}

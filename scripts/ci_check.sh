@@ -94,13 +94,15 @@ echo "== wall-clock smoke benchmark (timeout ${BENCH_TIMEOUT}s) =="
 timeout --signal=KILL "$BENCH_TIMEOUT" \
     python scripts/bench_smoke.py
 
-# The packed-engine record must exist and must carry the same result
-# fingerprint the BENCH_PR5 gate pinned: a packed "speedup" that
-# changed results cannot land by only rewriting its own record.
+# This run's packed-engine record (bench_smoke.py writes it to the
+# gitignored .perfbench/bench_smoke/; the tracked BENCH_PR*.json files
+# change only with --update-baseline) must exist and must carry the
+# same result fingerprint the BENCH_PR5 gate pinned: a packed "speedup"
+# that changed results cannot land by only rewriting its own record.
 python - <<'EOF'
 import json, sys
 pr5 = json.load(open("BENCH_PR5.json"))
-pr10 = json.load(open("BENCH_PR10.json"))
+pr10 = json.load(open(".perfbench/bench_smoke/BENCH_PR10.json"))
 if pr10["fingerprint"] != pr5["fingerprint"]:
     sys.exit(
         "ci_check: BENCH_PR10.json fingerprint "

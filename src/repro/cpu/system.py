@@ -324,6 +324,8 @@ class CpuSystem:
         ]
         heapify(heap)
         self._wake_heap = heap
+        for core in cores:
+            core._memory = self  # released again by _finalize
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             # The loop allocates almost nothing cyclic; generational GC
@@ -420,9 +422,13 @@ class CpuSystem:
                 if self._pending_lines.get(line) is request:
                     del self._pending_lines[line]
                     self._dram_inflight[request.core_id] -= 1
-            if not request.meta:
+            waiters = request.meta
+            if not waiters:
                 continue
-            for core, load in request.meta:
+            # The waiters point back at this request; dropping them
+            # keeps a finished run free of reference cycles.
+            request.meta = None
+            for core, load in waiters:
                 was_blocked = core.state == BLOCKED
                 core.complete_request(load, request)
                 if was_blocked and core.state == RUNNING:
@@ -436,7 +442,10 @@ class CpuSystem:
             heappush(heap, (core.t, core.core_id))
 
     def _finalize(self, max_cycles: int | None) -> "SimulationResult":
-        self.memory.drain()
+        # Requests still in flight (a max_cycles stop) are never
+        # delivered: drop their waiters, as _deliver does.
+        for request in self.memory.drain():
+            request.meta = None
         self.memory.finalize()
         end = max(
             self.memory.now,
@@ -447,6 +456,9 @@ class CpuSystem:
         for core in self.cores:
             if core.t < end:
                 core.account_idle_until(end)
+            # The system holds its cores; their pointer back to it is
+            # dropped so refcounting frees a finished run.
+            core._memory = None
         if self._guard is not None:
             self._guard.finish(self, end)
         auditor = self._guard.auditor if self._guard is not None else None

@@ -90,6 +90,22 @@ class EventLog:
     blocked_owners: list[tuple[int, bool]] = field(default_factory=list)
 
 
+#: Shared ``blocked_owners`` entries for victims -1..62, by
+#: interference flag: far more requesters than any configuration uses.
+_BLOCKED_OWNERS = tuple(
+    tuple((victim, inter) for victim in range(-1, 63))
+    for inter in (False, True)
+)
+
+
+def blocked_owner(victim: int, inter: bool) -> tuple[int, bool]:
+    """The ``(victim, inter)`` entry for ``blocked_owners``: a shared
+    tuple, not a fresh one per blocked window."""
+    if -1 <= victim < 63:
+        return _BLOCKED_OWNERS[inter][victim + 1]
+    return (victim, inter)
+
+
 class EventLogTap:
     """The default tap: materialize the full :class:`EventLog`."""
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from repro.dram.bank import Bank
 from repro.dram.commands import CommandType
+from repro.dram.components.link import ControllerLink
 
 
 class _BankCoords:
@@ -38,19 +39,16 @@ class OpenPagePolicy:
         return []
 
 
-class ClosedPagePolicy:
+class ClosedPagePolicy(ControllerLink):
     """Precharge banks whose open row has no pending requests."""
 
     name = "closed"
     generates_commands = True
 
-    def bind(self, controller) -> None:
-        self._ctrl = controller
-
     def plan_candidates(self, open_rows: list[int | None]) -> list[tuple]:
         """Precharge candidates shaped like the scheduler's
         ``plan_entry`` tuples: ``(key, None, PRECHARGE, coords)``."""
-        ctrl = self._ctrl
+        ctrl = self._ctrl()
         result = []
         min_cmd_time = ctrl._last_cmd_issue + 1
         read_queue = ctrl._read_queue

@@ -149,7 +149,7 @@ class WrrScheduler(_SchedulerBase):
 
     def _plan(self, queue, write_mode: bool, planner) -> tuple:
         """Shared fast/reference planning: filter, then FR-FCFS keys."""
-        ctrl = self._ctrl
+        ctrl = self._ctrl()
         open_rows = [b.open_row for b in self._banks]
         entries, horizon = queue.select_candidates(
             open_rows, ctrl.now, ctrl.config.starvation_cap
@@ -192,7 +192,7 @@ class WrrScheduler(_SchedulerBase):
 
     def reference_plan(self, queue, write_mode: bool) -> tuple | None:
         """Unmemoized plan (same arbitration, fault-injectable planner)."""
-        best, __ = self._plan(queue, write_mode, self._ctrl._plan_entry)
+        best, __ = self._plan(queue, write_mode, self._ctrl()._plan_entry)
         return best
 
 
@@ -251,7 +251,7 @@ class BankRegScheduler(_SchedulerBase):
 
     def _plan(self, queue, write_mode: bool, planner) -> tuple:
         """Shared fast/reference planning: gate CAS, then FR-FCFS keys."""
-        ctrl = self._ctrl
+        ctrl = self._ctrl()
         open_rows = [b.open_row for b in self._banks]
         entries, horizon = queue.select_candidates(
             open_rows, ctrl.now, ctrl.config.starvation_cap
@@ -294,7 +294,7 @@ class BankRegScheduler(_SchedulerBase):
 
     def reference_plan(self, queue, write_mode: bool) -> tuple | None:
         """Unmemoized plan (same regulation, fault-injectable planner)."""
-        best, __ = self._plan(queue, write_mode, self._ctrl._plan_entry)
+        best, __ = self._plan(queue, write_mode, self._ctrl()._plan_entry)
         return best
 
     def block_info(self, entry, cmd_type, coords, issue_at: int) -> Block:

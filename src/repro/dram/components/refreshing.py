@@ -16,13 +16,14 @@ refresh sequence and reschedules.
 from __future__ import annotations
 
 from repro.dram.commands import CommandType
+from repro.dram.components.link import ControllerLink
 
 #: Sentinel "infinitely far in the future" time (mirrors the
 #: controller's FAR_FUTURE; duplicated to avoid an import cycle).
 _FAR_FUTURE = 1 << 62
 
 
-class AllBankRefresh:
+class AllBankRefresh(ControllerLink):
     """Precharge all banks and hold the rank in refresh for tRFC."""
 
     name = "all-bank"
@@ -32,13 +33,13 @@ class AllBankRefresh:
         self.until = 0
 
     def bind(self, controller) -> None:
-        self._ctrl = controller
+        super().bind(controller)
         self.next_due = controller.spec.tREFI
         self.until = 0
 
     def perform(self, now: int) -> None:
         """One all-bank refresh sequence starting no earlier than `now`."""
-        ctrl = self._ctrl
+        ctrl = self._ctrl()
         spec = ctrl.spec
         ctrl._sched.note_refresh()
         t_ready = now
@@ -75,7 +76,7 @@ class AllBankRefresh:
         ctrl._publish_refresh(t_ref, refresh_end)
 
 
-class SameBankRefresh:
+class SameBankRefresh(ControllerLink):
     """DDR5-style same-bank refresh (REFsb), one bank per interval.
 
     Every ``tREFI / total_banks`` cycles one bank (round robin across
@@ -95,7 +96,7 @@ class SameBankRefresh:
         self.until = 0
 
     def bind(self, controller) -> None:
-        self._ctrl = controller
+        super().bind(controller)
         spec = controller.spec
         self._interval = max(1, spec.tREFI // spec.organization.total_banks)
         self._tRFCsb = (
@@ -107,7 +108,7 @@ class SameBankRefresh:
 
     def perform(self, now: int) -> None:
         """Refresh the next bank in rotation, no earlier than `now`."""
-        ctrl = self._ctrl
+        ctrl = self._ctrl()
         spec = ctrl.spec
         bank = ctrl._banks[self._next_bank]
         self._next_bank = (self._next_bank + 1) % len(ctrl._banks)

@@ -27,6 +27,7 @@ State-change notifications arrive through three hooks — ``note_admit``
 from __future__ import annotations
 
 from repro.dram.commands import CommandType
+from repro.dram.components.link import ControllerLink
 from repro.dram.rank import Block, BlockScope
 from repro.dram.scheduler import QueuedRequest
 
@@ -41,7 +42,7 @@ _ACT = CommandType.ACTIVATE
 _PRE = CommandType.PRECHARGE
 
 
-class _SchedulerBase:
+class _SchedulerBase(ControllerLink):
     """Plan-cache state and per-entry planning shared by all policies."""
 
     name = "base"
@@ -56,7 +57,8 @@ class _SchedulerBase:
 
     def bind(self, controller) -> None:
         """Wire up to a controller; resets all scheduling state."""
-        ctrl = self._ctrl = controller
+        super().bind(controller)
+        ctrl = controller
         spec = ctrl.spec
         self._banks = ctrl._banks
         self._ranks = ctrl._ranks
@@ -144,7 +146,7 @@ class _SchedulerBase:
         constraint details are derived lazily by :meth:`block_info` only
         when the chosen candidate actually has to wait.
         """
-        ctrl = self._ctrl
+        ctrl = self._ctrl()
         bank = self._banks[entry.flat_bank]
         coords = entry.coords
         rank = self._ranks[coords.rank]
@@ -177,7 +179,7 @@ class _SchedulerBase:
         self, entry, cmd_type: CommandType, coords, issue_at: int
     ) -> Block:
         """Binding constraint for a candidate that must wait."""
-        ctrl = self._ctrl
+        ctrl = self._ctrl()
         if entry is None:
             return Block(issue_at, BlockScope.BANK, "auto_precharge")
         bank = self._banks[entry.flat_bank]
@@ -202,7 +204,7 @@ class _SchedulerBase:
         planner (``faults.force_stall``) stay on this path and see their
         patched closure called.
         """
-        ctrl = self._ctrl
+        ctrl = self._ctrl()
         open_rows = [b.open_row for b in self._banks]
         best: tuple | None = None
         for entry in queue.candidates(
@@ -272,7 +274,7 @@ class FrFcfsScheduler(_SchedulerBase):
         since they are identical for every candidate of a rank. The
         starvation horizon mirrors ``RequestQueue.select_candidates``.
         """
-        ctrl = self._ctrl
+        ctrl = self._ctrl()
         banks = self._banks
         ranks = self._ranks
         min_cmd_time = ctrl._last_cmd_issue + 1

@@ -42,7 +42,7 @@ from repro.dram import components
 from repro.dram.address import AddressMapping
 from repro.dram.bank import Bank
 from repro.dram.commands import Command, CommandType, Request, RequestType
-from repro.dram.components.accounting import EventLog
+from repro.dram.components.accounting import EventLog, blocked_owner
 from repro.dram.components.paging import _BankCoords  # noqa: F401 - re-export
 from repro.dram.packed import PackedEngine, packed_fallback_reason
 from repro.dram.rank import BlockScope, RankTiming, SharedBus
@@ -454,8 +454,14 @@ class MemoryController:
         return self._take_completions()
 
     def finalize(self) -> None:
-        """Close open accounting windows at the end of a simulation."""
+        """Close open accounting windows at the end of a simulation.
+
+        Also releases the packed engine's columns and runner, so a
+        finished controller holds no reference cycle.
+        """
         self._write_buffer.finalize(self.now)
+        if self._packed is not None:
+            self._packed.release()
 
     @property
     def banks(self) -> list[Bank]:
@@ -858,7 +864,9 @@ class MemoryController:
                         )
                         # Pipeline drain blocks no requester in
                         # particular: shared row, never interference.
-                        self._log_blocked_owners.append((-1, False))
+                        self._log_blocked_owners.append(
+                            blocked_owner(-1, False)
+                        )
             return self._advance_to(wake, t_limit)
 
         (key, entry, cmd_type, coords) = best
@@ -905,7 +913,7 @@ class MemoryController:
                 else:
                     victim = -1
                     inter = False
-                owner = (victim, inter)
+                owner = blocked_owner(victim, inter)
                 # Extend the previous window in place when contiguous
                 # with an identical payload (windows are disjoint and
                 # time-ordered, so this changes no attribution).

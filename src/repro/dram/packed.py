@@ -65,6 +65,8 @@ from repro.core.events import (
     SchedulerHeartbeat,
 )
 from repro.dram.commands import Command, CommandType, RequestType
+from repro.dram.components.accounting import blocked_owner
+from repro.dram.components.link import ControllerLink
 from repro.dram.components.paging import ClosedPagePolicy, OpenPagePolicy
 from repro.dram.components.refreshing import (
     AllBankRefresh,
@@ -99,7 +101,7 @@ _SCOPE_RANK = BlockScope.RANK
 _SCOPE_CHANNEL = BlockScope.CHANNEL
 
 #: Shared owner tuple for pipeline-drain windows (never interference).
-_NO_OWNER = (-1, False)
+_NO_OWNER = blocked_owner(-1, False)
 
 
 def numpy_or_none():
@@ -137,7 +139,7 @@ def packed_fallback_reason(controller) -> str | None:
     return None
 
 
-class PackedEngine:
+class PackedEngine(ControllerLink):
     """SoA state + mega-loop for one :class:`MemoryController`.
 
     Life cycle: constructed eagerly (cheap — arrays are allocated
@@ -146,10 +148,16 @@ class PackedEngine:
     the packed loop, :meth:`flush` writes everything back and
     deactivates. ``active`` tells the controller's size properties
     whether the packed columns or the object queues are authoritative.
+    :meth:`release` (the controller's ``finalize``) also drops the
+    arrays and the runner closure, whose cells hold the controller; a
+    later :meth:`run` rebuilds them, as after a checkpoint restore.
     """
 
     def __init__(self, controller) -> None:
-        self._ctrl = controller
+        self.bind(controller)
+        self._clear()
+
+    def _clear(self) -> None:
         self.active = False
         self._ready = False
         # Sizes mirrored for the controller's properties while active
@@ -163,19 +171,24 @@ class PackedEngine:
     # (see MemoryController.__getstate__), so only the link survives.
     # ------------------------------------------------------------------
     def __getstate__(self):
-        return {"_ctrl": self._ctrl}
+        return {"_ctrl": self._ctrl()}
 
     def __setstate__(self, state):
-        self._ctrl = state["_ctrl"]
-        self.active = False
-        self._ready = False
-        self.rq_len = 0
-        self.wq_len = 0
+        super().__setstate__(state)
+        self._clear()
+
+    def release(self) -> None:
+        """Flush, then drop the arrays and the runner closure."""
+        self.flush()
+        link = self._ctrl
+        self.__dict__.clear()
+        self._ctrl = link
+        self._clear()
 
     # ------------------------------------------------------------------
     def _setup(self) -> None:
         """Allocate the columns and build the runner closure (once)."""
-        ctrl = self._ctrl
+        ctrl = self._ctrl()
         spec = ctrl.spec
         org = spec.organization
         B = self.B = ctrl.num_banks
@@ -294,7 +307,7 @@ class PackedEngine:
         """
         if not self._ready:
             self._setup()
-        ctrl = self._ctrl
+        ctrl = self._ctrl()
         B, G = self.B, self.G
         b_row, b_nact, b_npre = self.b_row, self.b_nact, self.b_npre
         b_ncas, b_pre_u, b_act_u, b_cdu = (
@@ -443,7 +456,7 @@ class PackedEngine:
         if not self.active:
             return
         self.active = False
-        ctrl = self._ctrl
+        ctrl = self._ctrl()
         G = self.G
         for f, bank in enumerate(ctrl._banks):
             row = self.b_row[f]
@@ -528,7 +541,7 @@ class PackedEngine:
         originals document the *why*.
         """
         eng = self
-        ctrl = self._ctrl
+        ctrl = self._ctrl()
         spec = ctrl.spec
         B, G = self.B, self.G
         np = self._np
@@ -595,6 +608,7 @@ class PackedEngine:
         pre_o = ctrl._log_pre_owners
         act_o = ctrl._log_act_owners
         lbo = ctrl._log_blocked_owners
+        owner_of = blocked_owner
         pre_w = ctrl.log.pre_windows
         act_w = ctrl.log.act_windows
         refresh_w = ctrl.log.refresh_windows
@@ -1571,7 +1585,7 @@ class PackedEngine:
                                 victim = -1
                                 blocker = -1
                                 inter = False
-                            owner = (victim, inter)
+                            owner = owner_of(victim, inter)
                             last = lb[-1] if lb else None
                             if (
                                 last is not None

@@ -36,6 +36,10 @@ _LOG_FIELDS = (
 )
 
 
+#: List entries rendered per hash update by :func:`_update_repr`.
+_REPR_CHUNK = 4096
+
+
 def event_log_digest(log) -> str:
     """SHA-256 over the controller's recorded timelines.
 
@@ -47,15 +51,34 @@ def event_log_digest(log) -> str:
     h = hashlib.sha256()
     for name in _LOG_FIELDS:
         h.update(name.encode())
-        h.update(repr(getattr(log, name)).encode())
+        _update_repr(h, getattr(log, name))
     # Same-bank refresh windows are hashed only when present so every
     # all-bank (historic) fixture digest is unchanged by the field's
     # existence.
     bank_refresh = getattr(log, "bank_refresh_windows", None)
     if bank_refresh:
         h.update(b"bank_refresh_windows")
-        h.update(repr(bank_refresh).encode())
+        _update_repr(h, bank_refresh)
     return h.hexdigest()
+
+
+def _update_repr(h, value) -> None:
+    """``h.update(repr(value).encode())``, streamed for lists.
+
+    A list's repr is ``[`` + its items' reprs joined by ``", "`` +
+    ``]``; feeding it a chunk of items at a time hashes the same bytes
+    without building the whole string and its encoded copy.
+    """
+    if type(value).__repr__ is not list.__repr__:
+        h.update(repr(value).encode())
+        return
+    h.update(b"[")
+    for start in range(0, len(value), _REPR_CHUNK):
+        if start:
+            h.update(b", ")
+        chunk = value[start:start + _REPR_CHUNK]
+        h.update(", ".join(map(repr, chunk)).encode())
+    h.update(b"]")
 
 
 def memory_log_digests(memory) -> list[str]:

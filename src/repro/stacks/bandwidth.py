@@ -28,7 +28,7 @@ the number of DRAM commands, not in simulated cycles.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 
 from repro.dram.controller import EventLog
 from repro.dram.rank import BlockScope
@@ -56,26 +56,41 @@ BANDWIDTH_COMPONENTS = (
 
 
 class _WindowCursor:
-    """Forward-moving coverage queries over a time-sorted interval list.
+    """Forward-moving coverage queries over a list of windows.
 
-    Windows may overlap each other; queries must be made with
-    non-decreasing segment starts. ``cover(s)`` returns whether any window
-    contains s; ``edges_in(lo, hi)`` returns window edges inside (lo, hi).
+    Each window is a tuple whose first two items are its ``[start,
+    end)``; any further items are its payload. Windows may overlap each
+    other; queries must be made with non-decreasing times. The list is
+    indexed in place when it is already ordered by ``(start, end)``, as
+    every controller's event log is (one linear check); otherwise the
+    cursor walks a sorted index order instead (offline or hand-built
+    logs). ``cover(t)`` returns whether any window contains t;
+    ``edges_in(lo, hi)`` returns window edges inside (lo, hi);
+    ``covering_index(t)`` and ``covering_payload(t)`` name the window
+    covering t with the smallest ``(start, end)`` (the last-listed one
+    among equal ``(start, end)``).
     """
 
-    def __init__(self, windows: list[tuple[int, int]]) -> None:
-        self._windows = sorted(windows)
-        self._idx = 0
-        # Active set pruned lazily: windows with end > current position.
-        self._active: list[tuple[int, int]] = []
+    def __init__(self, windows) -> None:
+        self._windows = windows
+        self._order = (
+            range(len(windows)) if _in_order(windows)
+            else sorted(range(len(windows)),
+                        key=lambda i: (windows[i][0], windows[i][1]))
+        )
+        self._pos = 0
+        # Indices of admitted windows, pruned lazily to end > position.
+        self._active: list[int] = []
 
     def _advance(self, t: int) -> None:
-        windows = self._windows
-        while self._idx < len(windows) and windows[self._idx][0] <= t:
-            self._active.append(windows[self._idx])
-            self._idx += 1
-        if self._active:
-            self._active = [w for w in self._active if w[1] > t]
+        windows, order, pos = self._windows, self._order, self._pos
+        active = self._active
+        while pos < len(order) and windows[order[pos]][0] <= t:
+            active.append(order[pos])
+            pos += 1
+        self._pos = pos
+        if active:
+            self._active = [i for i in active if windows[i][1] > t]
 
     def cover(self, t: int) -> bool:
         """Whether any window contains time t (non-decreasing t calls)."""
@@ -85,35 +100,55 @@ class _WindowCursor:
     def edges_in(self, lo: int, hi: int) -> list[int]:
         """Window start/end points strictly inside (lo, hi)."""
         self._advance(lo)
-        windows = self._windows
+        windows, order = self._windows, self._order
         edges = []
-        # Starts within range: binary search over sorted starts.
-        i = bisect_right(windows, (lo, 1 << 62))
-        while i < len(windows) and windows[i][0] < hi:
-            edges.append(windows[i][0])
-            if lo < windows[i][1] < hi:
-                edges.append(windows[i][1])
-            i += 1
+        # Every window starting after lo is still unadmitted.
+        for pos in range(self._pos, len(order)):
+            window = windows[order[pos]]
+            start = window[0]
+            if start >= hi:
+                break
+            edges.append(start)
+            if lo < window[1] < hi:
+                edges.append(window[1])
         # Ends of already-active windows.
-        for start, end in self._active:
+        for i in self._active:
+            end = windows[i][1]
             if lo < end < hi:
                 edges.append(end)
         return edges
 
-
-class _ScopedCursor(_WindowCursor):
-    """Coverage cursor that also reports the covering window's payload."""
-
-    def __init__(self, windows: list[tuple[int, int, object]]) -> None:
-        self._payloads = {(s, e): p for s, e, p in windows}
-        super().__init__([(s, e) for s, e, __ in windows])
-
-    def covering_payload(self, t: int) -> object | None:
-        """Payload of a window covering time t, if any."""
+    def covering_index(self, t: int) -> int | None:
+        """List index of the window covering time t, if any."""
         self._advance(t)
-        if not self._active:
+        active = self._active
+        if not active:
             return None
-        return self._payloads[self._active[0]]
+        first = active[0]
+        if len(active) > 1:
+            windows = self._windows
+            start, end = windows[first][0], windows[first][1]
+            for i in active[1:]:
+                if windows[i][0] != start or windows[i][1] != end:
+                    break
+                first = i
+        return first
+
+    def covering_payload(self, t: int) -> tuple | None:
+        """The window (with its payload) covering time t, if any."""
+        i = self.covering_index(t)
+        return None if i is None else self._windows[i]
+
+
+def _in_order(windows) -> bool:
+    """Whether `windows` is non-decreasing by ``(start, end)``."""
+    prev_start = prev_end = -(1 << 62)
+    for window in windows:
+        start, end = window[0], window[1]
+        if start < prev_start or (start == prev_start and end < prev_end):
+            return False
+        prev_start, prev_end = start, end
+    return True
 
 
 class BandwidthStackAccountant:
@@ -208,10 +243,8 @@ class BandwidthStackAccountant:
             gaps.append((prev_end, total_cycles))
 
         # --- 2. Gap classification ------------------------------------
-        refresh = _WindowCursor(list(log.refresh_windows))
-        blocked = _ScopedCursor(
-            [(s, e, (scope, reason)) for s, e, scope, __, reason in log.blocked]
-        )
+        refresh = _WindowCursor(log.refresh_windows)
+        blocked = _WindowCursor(log.blocked)
         bpg = self.spec.organization.banks_per_group
 
         # Per-bank pre/act/cas coverage is computed with one global,
@@ -310,7 +343,7 @@ class BandwidthStackAccountant:
         return bins
 
     def _classify_segment(
-        self, s: int, e: int, refresh: _WindowCursor, blocked: _ScopedCursor,
+        self, s: int, e: int, refresh: _WindowCursor, blocked: _WindowCursor,
         n_pre: int, n_act: int, n_cas: int, n_ref: int,
         banks_per_group: int, add,
     ) -> None:
@@ -334,9 +367,9 @@ class BandwidthStackAccountant:
             add("constraints", s, e, n_cas)
             add("bank_idle", s, e, n - n_ref - n_pre - n_act - n_cas)
             return
-        payload = blocked.covering_payload(s)
-        if payload is not None:
-            scope, reason = payload
+        window = blocked.covering_payload(s)
+        if window is not None:
+            __, __, scope, __, reason = window
             if reason == "data_inflight":
                 # Data is on its way but nothing is waiting to issue:
                 # more requests could have used these cycles -> idle

@@ -50,7 +50,7 @@ from repro.dram.rank import BlockScope
 from repro.dram.timing import TimingSpec
 from repro.errors import AccountingError
 from repro.stacks import intervals as iv
-from repro.stacks.bandwidth import _ScopedCursor, _WindowCursor
+from repro.stacks.bandwidth import _WindowCursor
 from repro.stacks.components import Stack, ordered_stack, paused_gc
 from repro.stacks.latency import LatencyStackAccountant
 
@@ -164,22 +164,8 @@ class RequesterBandwidthAccountant:
             gaps.append((prev_end, total_cycles))
 
         # --- 2. Gap classification (same segmentation as aggregate) ---
-        refresh = _WindowCursor(list(log.refresh_windows))
-        blocked_owners = log.blocked_owners
-        blocked = _ScopedCursor([
-            (
-                s, e,
-                (
-                    scope, reason,
-                    *(
-                        blocked_owners[i]
-                        if i < len(blocked_owners)
-                        else (SHARED_REQUESTER, False)
-                    ),
-                ),
-            )
-            for i, (s, e, scope, __, reason) in enumerate(log.blocked)
-        ])
+        refresh = _WindowCursor(log.refresh_windows)
+        blocked = _WindowCursor(log.blocked)
         bpg = self.spec.organization.banks_per_group
 
         # Same packed-int event sweep as the aggregate accountant, with
@@ -264,7 +250,7 @@ class RequesterBandwidthAccountant:
                         tallies[old] -= 1
                         tallies[state] += 1
                 self._classify_segment(
-                    s, e, refresh, blocked, bank_state, slot_owner,
+                    s, e, refresh, blocked, log, bank_state, slot_owner,
                     tallies, bpg, add,
                 )
 
@@ -279,7 +265,7 @@ class RequesterBandwidthAccountant:
 
     def _classify_segment(
         self, s: int, e: int, refresh: _WindowCursor,
-        blocked: _ScopedCursor, bank_state: list[int],
+        blocked: _WindowCursor, log: EventLog, bank_state: list[int],
         slot_owner: list[int], tallies: list[int], banks_per_group: int,
         add,
     ) -> None:
@@ -310,9 +296,13 @@ class RequesterBandwidthAccountant:
             if idle_banks:
                 add(SHARED_REQUESTER, "bank_idle", s, e, idle_banks)
             return
-        payload = blocked.covering_payload(s)
-        if payload is not None:
-            scope, reason, victim, inter = payload
+        i = blocked.covering_index(s)
+        if i is not None:
+            __, __, scope, __, reason = log.blocked[i]
+            owners = log.blocked_owners
+            victim, inter = (
+                owners[i] if i < len(owners) else (SHARED_REQUESTER, False)
+            )
             component = "interference" if inter else "constraints"
             if reason == "data_inflight":
                 add(SHARED_REQUESTER, "idle", s, e, n)

@@ -10,6 +10,8 @@ working, untouched, on multi-requester runs.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.core.events import (
     CommandIssued,
     EventBus,
@@ -24,6 +26,7 @@ from repro.dram import (
     Request,
     RequestType,
 )
+from repro.dram.components.accounting import blocked_owner
 from repro.viz.live import LiveUtilizationMeter
 from tests.conftest import run_stream
 
@@ -124,6 +127,28 @@ class TestRequesterIdOnBus:
             )
             assert key is not None, f"stall {event} not in the event log"
             assert logged[key] == event.requester_id
+
+
+class TestBlockedOwnersShared:
+    @pytest.mark.parametrize("engine", ["packed", "fast", "reference"])
+    def test_owner_entries_are_shared_tuples(self, engine):
+        """Every blocked window's owner is the one shared tuple for its
+        value, on the packed loop and on the object path alike."""
+        ctrl = MemoryController(
+            ControllerConfig(spec=DDR4_2400, engine=engine)
+        )
+        requests = [
+            Request(
+                RequestType.READ, (r << 22) + i * 64, arrival=0,
+                core_id=r, requester_id=r,
+            )
+            for i in range(16) for r in (0, 1)
+        ]
+        run_stream(ctrl, requests)
+        owners = ctrl.log.blocked_owners
+        assert {inter for __, inter in owners} == {False, True}
+        for owner in owners:
+            assert owner is blocked_owner(*owner)
 
 
 class TestExistingSubscribersSurvive:
