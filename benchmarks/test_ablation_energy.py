@@ -6,7 +6,8 @@ is the energy-side view of the paper's precharge/activate bandwidth
 component.
 """
 
-from repro.dram import ControllerConfig, DDR4_2400, MemoryController, Request, RequestType
+from repro.dram import ControllerConfig, MemoryController, Request, RequestType
+from repro.dram.timing import DDR4_2400
 from repro.stacks.energy import EnergyAccountant
 
 SPEC = DDR4_2400

@@ -7,15 +7,8 @@ The accounting invariants hold for every spec.
 
 import pytest
 
-from repro.dram import (
-    ControllerConfig,
-    DDR4_2400,
-    DDR4_3200,
-    DDR5_4800,
-    MemoryController,
-    Request,
-    RequestType,
-)
+from repro.dram import ControllerConfig, MemoryController, Request, RequestType
+from repro.dram.timing import DDR4_2400, DDR4_3200, DDR5_4800
 from repro.stacks.bandwidth import bandwidth_stack_from_log
 
 SPECS = (DDR4_2400, DDR4_3200, DDR5_4800)

@@ -8,7 +8,8 @@ component.
 
 import pytest
 
-from repro.dram import ControllerConfig, DDR4_2400, MemoryController, Request, RequestType
+from repro.dram import ControllerConfig, MemoryController, Request, RequestType
+from repro.dram.timing import DDR4_2400
 from repro.stacks.bandwidth import bandwidth_stack_from_log
 from repro.stacks.latency import latency_stack_from_requests
 

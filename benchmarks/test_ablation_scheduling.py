@@ -4,7 +4,8 @@ FR-FCFS's row-hit preference is the paper's configuration; strict FCFS
 forgoes reordering and pays more precharge/activate on mixed traffic.
 """
 
-from repro.dram import ControllerConfig, DDR4_2400, MemoryController, Request, RequestType
+from repro.dram import ControllerConfig, MemoryController, Request, RequestType
+from repro.dram.timing import DDR4_2400
 
 SPEC = DDR4_2400
 

@@ -10,13 +10,13 @@ import pytest
 
 from repro.dram import (
     ControllerConfig,
-    DDR4_2400,
     MemoryController,
     MemorySystem,
     MemorySystemConfig,
     Request,
     RequestType,
 )
+from repro.dram.timing import DDR4_2400
 from repro.stacks.bandwidth import bandwidth_stack_from_log
 
 SPEC = DDR4_2400

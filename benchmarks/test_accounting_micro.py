@@ -8,7 +8,8 @@ accountants and the controller engine in isolation.
 
 import pytest
 
-from repro.dram import ControllerConfig, DDR4_2400, MemoryController, Request, RequestType
+from repro.dram import ControllerConfig, MemoryController, Request, RequestType
+from repro.dram.timing import DDR4_2400
 from repro.stacks.bandwidth import BandwidthStackAccountant
 from repro.stacks.latency import LatencyStackAccountant
 

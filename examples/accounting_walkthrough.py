@@ -9,9 +9,9 @@ chip, a 1/n per-bank split during precharge/activate, bank-idle for the
 idle banks, and a full-width constraints block for the Tr2w turnaround.
 """
 
-from repro.dram import DDR4_2400
 from repro.dram.controller import EventLog
 from repro.dram.rank import BlockScope
+from repro.dram.timing import DDR4_2400
 from repro.stacks.bandwidth import BandwidthStackAccountant
 from repro.viz.ascii_art import render_stacks
 

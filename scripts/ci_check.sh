@@ -11,7 +11,6 @@ cd "$(dirname "$0")/.."
 export PYTHONPATH=src
 
 TIER1_TIMEOUT="${TIER1_TIMEOUT:-540}"
-NONUMPY_TIMEOUT="${NONUMPY_TIMEOUT:-540}"
 SMOKE_TIMEOUT="${SMOKE_TIMEOUT:-120}"
 # The bench runs fig2(ci) four times (three timed, one profiled for
 # the phase breakdown) plus a fingerprint run, then the same protocol
@@ -43,13 +42,6 @@ fi
 
 echo "== tier-1 test suite (timeout ${TIER1_TIMEOUT}s) =="
 timeout --signal=KILL "$TIER1_TIMEOUT" \
-    python -m pytest -x -q "${MARKER_ARGS[@]}"
-
-echo "== tier-1 without numpy (timeout ${NONUMPY_TIMEOUT}s) =="
-# The packed engine's pure-Python array fallback must pass the same
-# suite bit-identically: REPRO_NO_NUMPY=1 makes numpy_or_none() return
-# None, so every bulk kernel runs its stdlib-array branch.
-REPRO_NO_NUMPY=1 timeout --signal=KILL "$NONUMPY_TIMEOUT" \
     python -m pytest -x -q "${MARKER_ARGS[@]}"
 
 echo "== fault-injection smoke (timeout ${SMOKE_TIMEOUT}s) =="

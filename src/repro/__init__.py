@@ -71,16 +71,6 @@ from repro.stacks import (
 __version__ = "1.0.0"
 
 
-def __getattr__(name: str):
-    # Deprecated timing-spec constants; see repro.dram.__getattr__ for
-    # the warning text and the device-registry replacement.
-    if name in ("DDR4_2400", "DDR4_3200", "DDR5_4800"):
-        import repro.dram as _dram
-
-        return getattr(_dram, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "AddressMapping",
     "AccountingError",
@@ -92,9 +82,6 @@ __all__ = [
     "ConfigurationError",
     "ControllerConfig",
     "CycleStackBuilder",
-    "DDR4_2400",
-    "DDR4_3200",
-    "DDR5_4800",
     "LATENCY_COMPONENTS",
     "LatencyStackAccountant",
     "MemoryController",

@@ -90,9 +90,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument(
         "--engine", choices=sorted(ENGINES), default=None,
-        help="controller stepping engine (default: the ControllerConfig "
-        "default, currently 'packed'; all engines are bit-identical — "
-        "see docs/performance.md)",
+        help="controller stepping engine: 'packed' (the default) runs "
+        "every built-in policy in the optimized loop, 'reference' "
+        "re-plans every step as the oracle; results are bit-identical "
+        "— see docs/performance.md",
     )
     analyze.add_argument("--scale", choices=("ci", "paper"), default="ci")
     analyze.add_argument(

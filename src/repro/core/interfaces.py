@@ -6,7 +6,7 @@ registry keyed by the config strings of
 :class:`~repro.dram.controller.ControllerConfig`:
 
 * :class:`SchedulerPolicy` — which command issues next (``fr-fcfs``,
-  ``fcfs``), including the plan/candidate caches of the fast engine;
+  ``fcfs``, the ``wrr``/``bank-reg`` QoS arbiters);
 * :class:`PagePolicy` — what happens to open rows with no pending work
   (``open``, ``closed``);
 * :class:`WriteDrainPolicy` — when the write buffer preempts reads
@@ -165,11 +165,13 @@ class CompositeMemory:
 class SchedulerPolicy(Protocol):
     """Decides which command the controller issues next.
 
-    The policy owns all scheduling state — per-bank candidate caches,
-    the memoized plan and its validity horizon, the scheduling/timing
-    epochs — and exposes the decision through :meth:`decide`. The
-    controller reports every event that can invalidate that state
-    through the ``note_*`` hooks.
+    The object controller path re-plans every step through
+    :meth:`reference_plan`; it runs ``engine="reference"`` and every
+    policy the packed engine does not replicate (custom registrations).
+    The packed engine replicates the built-in policies in its own loop.
+    Requester-aware arbiters may also define
+    ``note_service(requester, flat_bank, t)``, which both paths call on
+    every CAS issue.
     """
 
     name: str
@@ -178,7 +180,7 @@ class SchedulerPolicy(Protocol):
         """Capture the controller's banks/ranks/queues; reset state."""
         ...
 
-    def decide(self, now: int, write_mode: bool, queue: Any) -> "tuple | None":
+    def reference_plan(self, queue: Any, write_mode: bool) -> "tuple | None":
         """The winning ``(key, entry, cmd_type, coords)``, or None.
 
         `queue` is the active request queue (write buffer's when
@@ -187,20 +189,14 @@ class SchedulerPolicy(Protocol):
 
     def plan_entry(self, entry: Any, write_mode: bool) -> tuple:
         """Reference ``(sort_key, entry, command, coords)`` for one
-        candidate (the differential oracle; also the fault-injection
-        patch point)."""
+        candidate."""
         ...
 
-    def note_admit(self, flat_bank: int, is_write: bool) -> None:
-        """A request was admitted to `flat_bank`'s queue."""
-        ...
-
-    def note_issue(self, flat_bank: int) -> None:
-        """A command was issued on `flat_bank` (-1 for all banks)."""
-        ...
-
-    def note_refresh(self) -> None:
-        """A refresh happened; all bank timing gates moved."""
+    def block_info(
+        self, entry: Any, cmd_type: Any, coords: Any, issue_at: int
+    ) -> Any:
+        """The binding constraint (a ``Block``) of a planned command that
+        must wait until `issue_at`."""
         ...
 
 

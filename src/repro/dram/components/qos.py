@@ -24,15 +24,14 @@ choice of :meth:`~repro.dram.scheduler.RequestQueue.select_candidates`):
 Degenerate-case invariance (held by tests/dram/test_qos_properties.py
 and the golden suite): with a single requester present, ``wrr`` — and
 ``bank-reg`` with an unlimited budget — reproduce the ``fr-fcfs``
-event log bit for bit. Both schedulers plan with the same
-:meth:`~repro.dram.components.scheduling._SchedulerBase.plan_entry`
-keys and strict-``<`` tie-breaks as the reference planner, so the
-fast and reference engines stay bit-identical under them as well.
+event log bit for bit.
 
-Arbitration state changes only on CAS service (via the
-:meth:`note_service` hook the controller calls on every CAS issue,
-which also bumps the scheduling epoch), so the plan-cache validity
-argument of the base class carries over unchanged.
+The classes below are the reference planners. The packed engine
+(:mod:`repro.dram.packed`) runs the same arbitration in its own loop,
+reading and updating the credits/usage held here, so both paths — and
+checkpoints taken from either — share one arbitration state.
+Arbitration state changes only on CAS service, through the
+:meth:`note_service` hook both paths call on every CAS issue.
 """
 
 from __future__ import annotations
@@ -132,8 +131,9 @@ class WrrScheduler(_SchedulerBase):
         out of credits the round ends: all of them are replenished to
         their weights. Replenishment is idempotent across repeated plan
         computations of the same state (credits only decrease on CAS
-        issue, which invalidates the plan), so the fast and reference
-        engines observe identical arbitration state.
+        issue), so the reference planner, which re-plans every step, and
+        the packed engine, which plans once per state change, observe
+        identical arbitration state.
         """
         credits = self._credits
         weight_of = self.weight_of
@@ -147,11 +147,12 @@ class WrrScheduler(_SchedulerBase):
             return pending
         return allowed
 
-    def _plan(self, queue, write_mode: bool, planner) -> tuple:
-        """Shared fast/reference planning: filter, then FR-FCFS keys."""
+    def reference_plan(self, queue, write_mode: bool) -> tuple | None:
+        """Filter the FR-FCFS candidates to the allowed requesters, then
+        pick by the usual (time, priority, age) key."""
         ctrl = self._ctrl()
         open_rows = [b.open_row for b in self._banks]
-        entries, horizon = queue.select_candidates(
+        entries, __ = queue.select_candidates(
             open_rows, ctrl.now, ctrl.config.starvation_cap
         )
         best: tuple | None = None
@@ -160,39 +161,13 @@ class WrrScheduler(_SchedulerBase):
             for entry in entries:
                 if entry.request.requester_id not in allowed:
                     continue
-                cand = planner(entry, write_mode)
+                cand = ctrl._plan_entry(entry, write_mode)
                 if best is None or cand[0] < best[0]:
                     best = cand
         if self._page.generates_commands:
             for cand in self._page.plan_candidates(open_rows):
                 if best is None or cand[0] < best[0]:
                     best = cand
-        return best, horizon
-
-    def decide(self, now: int, write_mode: bool, queue) -> tuple | None:
-        """Derive the decision and refresh the plan cache.
-
-        The plan stays valid while the scheduling epoch is unchanged
-        and `now` is below the starvation horizon: credits move only on
-        CAS issue and the pending-requester set only on admission /
-        issue / refresh — all epoch bumps — while a starvation flip can
-        swap a bank's candidate (possibly across requesters), which the
-        horizon bounds exactly as for plain FR-FCFS.
-        """
-        best, horizon = self._plan(queue, write_mode, self.plan_entry)
-        self.plan = best
-        self.plan_epoch = self.epoch
-        self.plan_timing_epoch = self.timing_epoch
-        self.plan_valid_until = horizon
-        self.plan_write_mode = write_mode
-        self.plan_block = None
-        self.dirty_read.clear()
-        self.dirty_write.clear()
-        return best
-
-    def reference_plan(self, queue, write_mode: bool) -> tuple | None:
-        """Unmemoized plan (same arbitration, fault-injectable planner)."""
-        best, __ = self._plan(queue, write_mode, self._ctrl()._plan_entry)
         return best
 
 
@@ -249,18 +224,19 @@ class BankRegScheduler(_SchedulerBase):
             return ((boundary, key[1], key[2]), cand[1], cand[2], cand[3])
         return cand
 
-    def _plan(self, queue, write_mode: bool, planner) -> tuple:
-        """Shared fast/reference planning: gate CAS, then FR-FCFS keys."""
+    def reference_plan(self, queue, write_mode: bool) -> tuple | None:
+        """Gate over-budget CAS candidates, then pick by the usual
+        (time, priority, age) key."""
         ctrl = self._ctrl()
         open_rows = [b.open_row for b in self._banks]
-        entries, horizon = queue.select_candidates(
+        entries, __ = queue.select_candidates(
             open_rows, ctrl.now, ctrl.config.starvation_cap
         )
         self._gated.clear()
         budget = self.budget
         best: tuple | None = None
         for entry in entries:
-            cand = planner(entry, write_mode)
+            cand = ctrl._plan_entry(entry, write_mode)
             if budget is not None and cand[0][1] == 0:
                 cand = self._gate(entry, cand)
             if best is None or cand[0] < best[0]:
@@ -269,32 +245,6 @@ class BankRegScheduler(_SchedulerBase):
             for cand in self._page.plan_candidates(open_rows):
                 if best is None or cand[0] < best[0]:
                     best = cand
-        return best, horizon
-
-    def decide(self, now: int, write_mode: bool, queue) -> tuple | None:
-        """Derive the decision and refresh the plan cache.
-
-        A gated candidate's effective time is a period boundary that is
-        always >= the winner's time (otherwise the gated candidate
-        *is* the winner and issues exactly at its boundary), so period
-        rollover can never invalidate a cached plan before its winner
-        issues; the starvation horizon remains the only time-based
-        invalidation, as for plain FR-FCFS.
-        """
-        best, horizon = self._plan(queue, write_mode, self.plan_entry)
-        self.plan = best
-        self.plan_epoch = self.epoch
-        self.plan_timing_epoch = self.timing_epoch
-        self.plan_valid_until = horizon
-        self.plan_write_mode = write_mode
-        self.plan_block = None
-        self.dirty_read.clear()
-        self.dirty_write.clear()
-        return best
-
-    def reference_plan(self, queue, write_mode: bool) -> tuple | None:
-        """Unmemoized plan (same regulation, fault-injectable planner)."""
-        best, __ = self._plan(queue, write_mode, self._ctrl()._plan_entry)
         return best
 
     def block_info(self, entry, cmd_type, coords, issue_at: int) -> Block:

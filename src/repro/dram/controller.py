@@ -56,15 +56,12 @@ from repro.errors import ConfigurationError
 #: are accepted even though they are not in this snapshot.
 PAGE_POLICIES = components.PAGE_POLICIES.names()
 
-#: Scheduling engines. ``"fast"`` memoizes the scheduling decision
-#: between state changes (see the ``fr-fcfs`` scheduler component in
-#: :mod:`repro.dram.components.scheduling`); ``"reference"`` re-derives
-#: it from scratch every step; ``"packed"`` runs the struct-of-arrays
-#: batch engine (:mod:`repro.dram.packed`), falling back to the fast
-#: object path for policies it does not replicate. All three produce
-#: bit-identical event logs — the golden/differential tests in
+#: Scheduling engines. ``"packed"`` runs the struct-of-arrays batch
+#: engine (:mod:`repro.dram.packed`); ``"reference"`` re-derives the
+#: scheduling decision from scratch every step on the object path. Both
+#: produce bit-identical event logs — the golden/differential tests in
 #: ``tests/golden`` hold them to that.
-ENGINES = ("fast", "reference", "packed")
+ENGINES = ("packed", "reference")
 
 #: Sentinel "infinitely far in the future" time.
 FAR_FUTURE = 1 << 62
@@ -118,14 +115,13 @@ class ControllerConfig:
             ``"null"`` records nothing (pure timing runs).
         starvation_cap: FR-FCFS reordering bound — a request older than
             this many cycles beats younger row hits to its bank.
-        engine: ``"fast"`` caches the scheduling decision between state
-            changes; ``"reference"`` recomputes it every step;
-            ``"packed"`` (default) runs the struct-of-arrays batch loop
-            of :mod:`repro.dram.packed`, falling back to the fast
-            object path (with a log line) for scheduling policies it
-            does not replicate. Results are bit-identical across all
-            three; the reference engine exists as the oracle for the
-            golden/differential test layer.
+        engine: ``"packed"`` (default) runs the struct-of-arrays batch
+            loop of :mod:`repro.dram.packed` for every built-in policy;
+            ``"reference"`` recomputes the scheduling decision every
+            step on the object path, and is the oracle of the
+            golden/differential test layer. Results are bit-identical
+            across the two. A custom registered policy runs on the
+            reference object path under either engine (logged once).
         device: optional device-preset selector resolved in the
             :data:`repro.devices.DEVICES` registry (``"ddr4-2400"``,
             ``"ddr5-4800:subchannels=2"``, ``"lpddr5-6400"``,
@@ -180,22 +176,18 @@ class ControllerConfig:
         components.WRITE_DRAIN.get(self.write_drain)
         components.REFRESH.get(self.resolved_refresh)
         components.ACCOUNTING.get(self.accounting)
-        if self.engine == "packed":
-            # The packed engine falls back to the fast object path for
-            # policies it does not replicate — but that fallback needs
-            # the scheduler to expose the object-engine seams. A custom
-            # registration lacking both is unrunnable under "packed";
-            # fail here, naming the policy, instead of mid-run.
-            sched = components.make_scheduler(self.scheduling)
-            if not hasattr(sched, "decide") and not hasattr(
-                sched, "reference_plan"
-            ):
-                raise ConfigurationError(
-                    f"engine 'packed' cannot run scheduling policy "
-                    f"{self.scheduling!r}: it defines neither 'decide' "
-                    f"nor 'reference_plan', so even the object fallback "
-                    f"path has no planner for it"
-                )
+        # Policies the packed loop does not replicate run on the object
+        # path, which plans through the scheduler's `reference_plan`. A
+        # custom registration lacking it is unrunnable under either
+        # engine; fail here, naming the policy, instead of mid-run.
+        if not hasattr(
+            components.make_scheduler(self.scheduling), "reference_plan"
+        ):
+            raise ConfigurationError(
+                f"engine {self.engine!r} cannot run scheduling policy "
+                f"{self.scheduling!r}: it defines no 'reference_plan', "
+                f"so the object controller path has no planner for it"
+            )
 
     @property
     def device_channels(self) -> int:
@@ -321,9 +313,7 @@ class MemoryController:
         #: Page-policy component.
         self._page = components.PAGE_POLICIES.create(self.config.page_policy)
         self._page.bind(self)
-        #: Scheduler component; owns the plan/candidate caches and the
-        #: scheduling/timing epochs (PR 2's fast engine) as public
-        #: attributes the hot loop below reads directly.
+        #: Scheduler component: the reference planner of the object path.
         self._sched = components.make_scheduler(self.config.scheduling)
         self._sched.bind(self)
         #: CAS-service hook for requester-aware arbiters (wrr charges
@@ -336,10 +326,6 @@ class MemoryController:
         )
         self._refresh.bind(self)
 
-        # "packed" uses the fast object path wherever it falls back (and
-        # for tests that step `_run_one_step` directly), so only the
-        # reference oracle takes the unmemoized branch.
-        self._fast_engine = self.config.engine != "reference"
         self._tRP = self.spec.tRP
         self._tRCD = self.spec.tRCD
         self._trace_commands = self.config.keep_command_trace
@@ -383,7 +369,7 @@ class MemoryController:
             else:
                 logging.getLogger(__name__).info(
                     "packed engine unavailable: %s; falling back to the "
-                    "fast object engine", reason,
+                    "reference object engine", reason,
                 )
 
     # ------------------------------------------------------------------
@@ -648,20 +634,12 @@ class MemoryController:
 
     def _admit_arrivals(self) -> None:
         """Move requests whose arrival time has come into the queues."""
-        admitted = False
         arrivals = self._arrivals
         now = self.now
         mapping = self.mapping
         decode = mapping.decode
         flat_index = mapping.flat_bank_index
         heappop = heapq.heappop
-        sched = self._sched
-        # note_admit inlined (hot path): invalidate the bank's candidate
-        # slot and mark it dirty for incremental plan repair.
-        cand_read = sched.cand_read
-        cand_write = sched.cand_write
-        dirty_read = sched.dirty_read
-        dirty_write = sched.dirty_write
         ev_admit = self._ev_admit
         # Forwarding probe short-circuits on the buffered-address dict so
         # the empty-buffer case skips the line-align arithmetic.
@@ -669,7 +647,6 @@ class MemoryController:
             self.config.read_forwarding
         ) else None
         while arrivals and arrivals[0][0] <= now:
-            admitted = True
             __, __, req = heappop(arrivals)
             coords = decode(req.address)
             flat = flat_index(coords)
@@ -697,13 +674,9 @@ class MemoryController:
                 bank = self._banks[flat]
                 req.row_open_on_arrival = bank.open_row == coords.row
                 self._read_queue.add(req, coords, flat)
-                cand_read[flat] = None
-                dirty_read.append(flat)
                 is_write = False
             else:
                 self._write_buffer.add(req, coords, flat)
-                cand_write[flat] = None
-                dirty_write.append(flat)
                 is_write = True
             if ev_admit:
                 event = RequestAdmitted(
@@ -711,8 +684,6 @@ class MemoryController:
                 )
                 for handler in ev_admit:
                     handler(event)
-        if admitted:
-            sched.epoch += 1
 
     def _run(self, t_limit: int, stop_on_read: bool) -> None:
         packed = self._packed
@@ -727,7 +698,7 @@ class MemoryController:
             if stop_on_read and stats.reads_completed == stats.reads_enqueued:
                 break
             before = stats.reads_completed
-            advanced = self._run_one_step(t_limit, stop_on_read)
+            advanced = self._run_one_step(t_limit)
             if stop_on_read and stats.reads_completed > before:
                 break
             if not advanced:
@@ -750,13 +721,12 @@ class MemoryController:
         self.now = target
         return True
 
-    def _run_one_step(self, t_limit: int, stop_on_read: bool = False) -> bool:
+    def _run_one_step(self, t_limit: int) -> bool:
         """Issue one command or advance time once. Returns False when
         nothing can happen before `t_limit` (caller should stop).
 
-        `stop_on_read` tells the step that its caller breaks out of the
-        stepping loop as soon as a read completes; the fused wait-and-
-        issue shortcut must then not issue past a completion.
+        This is the reference engine: the decision is re-derived from
+        scratch every step.
         """
         packed = self._packed
         if packed is not None and packed.active:
@@ -798,41 +768,23 @@ class MemoryController:
             refresh.perform(now)
             return True
 
-        # 3. Scheduling decision: cached while no admission/issue/refresh
-        # happened and `now` is below the starvation-flip horizon. The
-        # `_plan_entry` instance-dict check keeps fault injections that
-        # monkeypatch the planner (reliability drills) on the recompute
-        # path even if they were installed after a plan was cached.
-        sched = self._sched
-        if (
-            sched.plan_epoch == sched.epoch
-            and now < sched.plan_valid_until
-            and "_plan_entry" not in self.__dict__
-        ):
-            best = sched.plan
-            write_mode = sched.plan_write_mode
+        # 3. Scheduling decision: the drain policy picks the active
+        # queue, the scheduler plans over it.
+        wbuf = self._write_buffer
+        drain = self._drain
+        if not drain.draining and not wbuf.queue:
+            # Empty, idle write buffer: the drain update would be a no-op
+            # returning False (occupancy 0 is below every watermark), so
+            # skip the call.
+            write_mode = False
         else:
-            # _compute_plan, inlined (hot path): the drain policy picks
-            # the active queue, the scheduler derives the decision.
-            wbuf = self._write_buffer
-            drain = self._drain
-            if not drain.draining and not wbuf.queue:
-                # Empty, idle write buffer: the drain update would be a
-                # no-op returning False (occupancy 0 is below every
-                # watermark), so skip the call.
-                write_mode = False
-            else:
-                write_mode = drain.update(
-                    now, len(wbuf.queue), bool(self._read_queue)
-                )
-            queue = wbuf.queue if write_mode else self._read_queue
-            if self._fast_engine and "_plan_entry" not in self.__dict__:
-                best = sched.decide(now, write_mode, queue)
-            else:
-                best = sched.reference_plan(queue, write_mode)
-                sched.plan = best
-                sched.plan_write_mode = write_mode
-                sched.invalidate()  # never reused: re-plan next step
+            write_mode = drain.update(
+                now, len(wbuf.queue), bool(self._read_queue)
+            )
+        sched = self._sched
+        best = sched.reference_plan(
+            wbuf.queue if write_mode else self._read_queue, write_mode
+        )
 
         next_arrival = arrivals[0][0] if arrivals else FAR_FUTURE
         if best is None:
@@ -873,9 +825,7 @@ class MemoryController:
         issue_at = key[0]
         if issue_at > now:
             # Blocked: record why, then advance (arrivals or refresh may
-            # preempt the wait). The binding constraint is stable for the
-            # lifetime of the plan (all constraint times are absolute),
-            # so it is derived once and reused across re-entries.
+            # preempt the wait).
             wake = issue_at
             if next_arrival < wake:
                 wake = next_arrival
@@ -884,10 +834,7 @@ class MemoryController:
                 wake = refresh_due
             end = wake if wake < t_limit else t_limit
             if end > now:
-                block = sched.plan_block
-                if block is None:
-                    block = sched.block_info(entry, cmd_type, coords, issue_at)
-                    sched.plan_block = block
+                block = sched.block_info(entry, cmd_type, coords, issue_at)
                 bg = coords.bank_group if coords is not None else -1
                 # Requester attribution of the wait: the victim is the
                 # planned candidate's requester; the blocker is whoever
@@ -938,31 +885,6 @@ class MemoryController:
                         )
                         for handler in self._ev_stalled:
                             handler(event)
-            # Fused wait-and-issue: when the planned command itself is the
-            # wake event (no arrival or refresh preempts it — strictly,
-            # since a tie would admit/refresh first on re-entry), its
-            # issue cycle is inside this run's limit, and the cached plan
-            # would pass the next step's validity check unchanged (same
-            # epoch, below the starvation horizon), the step re-entry is a
-            # no-op re-derivation — skip it and issue here. Under
-            # stop_on_read the caller must see completions before the
-            # next issue, so the shortcut requires no in-flight data
-            # finishing by the issue cycle.
-            if (
-                next_arrival > issue_at
-                and refresh_due > issue_at
-                and issue_at < t_limit
-                and issue_at < sched.plan_valid_until
-                and sched.plan_epoch == sched.epoch
-                and not (
-                    stop_on_read
-                    and self._in_flight
-                    and self._in_flight[0][0] <= issue_at
-                )
-            ):
-                self._advance_to(issue_at, t_limit)
-                self._issue(entry, cmd_type, coords, write_mode)
-                return True
             return self._advance_to(wake, t_limit)
 
         self._issue(entry, cmd_type, coords, write_mode)
@@ -975,7 +897,7 @@ class MemoryController:
         Delegates to the scheduler component. Kept as a controller
         method because it is the documented fault-injection patch point
         (:func:`repro.reliability.faults.force_stall` replaces it in the
-        instance dict; the plan-cache guards check for exactly that).
+        instance dict, which ejects the packed engine).
         """
         return self._sched.plan_entry(entry, write_mode)
 
@@ -997,13 +919,6 @@ class MemoryController:
         t = self.now
         self._last_cmd_issue = t
         flat = coords.flat if entry is None else entry.flat_bank
-        # note_issue inlined (hot path): timing moved, the plan and the
-        # bank's candidate slots are stale.
-        sched = self._sched
-        sched.epoch += 1
-        sched.timing_epoch += 1
-        sched.cand_read[flat] = None
-        sched.cand_write[flat] = None
         ev_command = self._ev_command
         if entry is None:
             # Policy precharge: nothing is waiting for this bank. The

@@ -1,13 +1,14 @@
 """Packed struct-of-arrays controller engine (``engine="packed"``).
 
-The object engine (``"fast"``) pays for its flexibility in attribute
-chatter: every scheduling step walks ``Bank``/``RankTiming``/
-``QueuedRequest`` objects and re-binds dozens of names. This engine
-packs the same state into flat ``array('q')`` columns — one int64 column
-per field, indexed by flat bank / entry id — and runs the whole
-admit → refresh → decide → issue loop inside a single closure whose
-hot names are cell variables, so the ~100k ``run_until`` calls of a
-simulation pay no per-call re-hoisting.
+The object controller path (the ``"reference"`` engine) pays for its
+flexibility in attribute chatter: every scheduling step walks
+``Bank``/``RankTiming``/``QueuedRequest`` objects and re-derives the
+decision from scratch. This engine packs the same state into flat
+``array('q')`` columns — one int64 column per field, indexed by flat
+bank / entry id — and runs the whole admit → refresh → decide → issue
+loop inside a single closure whose hot names are cell variables, so
+the ~100k ``run_until`` calls of a simulation pay no per-call
+re-hoisting.
 
 Layout (struct of arrays; see docs/performance.md for the diagram):
 
@@ -24,8 +25,8 @@ Layout (struct of arrays; see docs/performance.md for the diagram):
   rank (oldest sits at the next write position when full, matching
   ``deque(maxlen=4)``).
 * **Candidate cache** — per queue, per bank: entry index (-1 invalid),
-  kind code, starvation-flip cycle and bank gate, mirroring the object
-  scheduler's per-bank tuples.
+  kind code, starvation-flip cycle and bank gate of the bank's FR-FCFS
+  selection.
 
 The arrays are *authoritative while the engine is active*; the
 ``Bank``/``RankTiming``/``RequestQueue`` objects go stale and are
@@ -34,26 +35,23 @@ state must be observed — ``stall_snapshot``, the ``banks`` property,
 checkpoint pickling, or a fault injection patching ``_plan_entry``.
 :meth:`pack` converts the other way on (re)activation; the
 ``pack ⇄ flush`` round trip is property-tested in
-``tests/dram/test_packed_roundtrip.py``.
+``tests/dram/test_packed_properties.py``.
 
-numpy, when importable (and not disabled via ``REPRO_NO_NUMPY=1``), is
-used only for bulk kernels over the fixed-size bank columns (refresh
-fences, candidate-cache invalidation) through zero-copy
-``np.frombuffer`` views; the columns themselves stay stdlib ``array``
-objects so indexing yields plain Python ints and no numpy scalar can
-ever reach the fingerprinted log tuples.
-
-Scheduling semantics are replicated *exactly* from the object engine —
-same candidate selection, same (time, priority, req_id) tournament,
-same plan cache and fused wait-and-issue shortcut, same merge-on-append
-blocked windows and requester attribution — and held bit-identical by
-the golden fingerprints and ``tests/golden/test_differential.py``.
+Scheduling semantics are replicated *exactly* from the reference
+planners of :mod:`repro.dram.components` — same candidate selection,
+same (time, priority, req_id) tournament, same wrr credit filter and
+bank-reg period gate, same merge-on-append blocked windows and requester
+attribution — and held bit-identical by the golden fingerprints and
+``tests/golden/test_differential.py``. On top of them the loop caches
+the decision between state changes: a plan stays valid while no
+admission, issue or refresh happened (the scheduling *epoch*) and no
+FR-FCFS starvation flip is due, and a blocked plan whose own issue cycle
+is the next event issues without re-planning (fused wait-and-issue).
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from array import array
 
 from repro.core.events import (
@@ -73,6 +71,7 @@ from repro.dram.components.refreshing import (
     NoRefresh,
     SameBankRefresh,
 )
+from repro.dram.components.qos import BankRegScheduler, WrrScheduler
 from repro.dram.components.scheduling import FcfsScheduler, FrFcfsScheduler
 from repro.dram.rank import BlockScope
 from repro.dram.scheduler import RequestQueue
@@ -104,28 +103,28 @@ _SCOPE_CHANNEL = BlockScope.CHANNEL
 _NO_OWNER = blocked_owner(-1, False)
 
 
-def numpy_or_none():
-    """numpy if importable and not disabled via ``REPRO_NO_NUMPY``."""
-    if os.environ.get("REPRO_NO_NUMPY"):
-        return None
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - numpy is in the CI image
-        return None
-    return numpy
+#: Scheduler classes the packed loop replicates (exact types: a
+#: subclass may override any planning seam).
+_PACKED_SCHEDULERS = (
+    FrFcfsScheduler, FcfsScheduler, WrrScheduler, BankRegScheduler,
+)
 
 
 def packed_fallback_reason(controller) -> str | None:
     """Why `controller` cannot run packed, or None when it can.
 
-    The packed loop replicates the stock fr-fcfs/fcfs schedulers, both
-    page policies and all three refresh policies. Anything else — the
-    QoS arbiters, custom registrations — falls back to the object path
-    (the controller logs the reason once).
+    The packed loop replicates every built-in scheduler (fr-fcfs, fcfs,
+    wrr, bank-reg), both page policies and all three refresh policies.
+    Anything else — custom registrations, subclasses of the built-ins —
+    runs on the reference object path (the controller logs the reason
+    once).
     """
     sched_t = type(controller._sched)
-    if sched_t is not FrFcfsScheduler and sched_t is not FcfsScheduler:
-        return f"scheduler {controller._sched.name!r} is not packed yet"
+    if sched_t not in _PACKED_SCHEDULERS:
+        return (
+            f"scheduler {controller.config.scheduling!r} "
+            f"({sched_t.__qualname__}) is not a built-in policy"
+        )
     page_t = type(controller._page)
     if page_t is not OpenPagePolicy and page_t is not ClosedPagePolicy:
         return f"page policy {controller._page.name!r} is not packed yet"
@@ -194,7 +193,6 @@ class PackedEngine(ControllerLink):
         B = self.B = ctrl.num_banks
         G = self.G = org.bank_groups
         R = self.R = org.ranks
-        self._np = numpy_or_none()
 
         # Flat-index decompositions (mirrors Bank.__init__ / paging).
         self.bg_of = array("q", [(f % org.banks) // org.banks_per_group
@@ -275,21 +273,6 @@ class PackedEngine(ControllerLink):
         self.cw_k = array("q", zeros)
         self.cw_f = array("q", zeros)
         self.cw_b = array("q", zeros)
-
-        # Optional numpy bulk-kernel views over the fixed-size columns
-        # (zero-copy; writes land in the arrays, reads via the arrays
-        # still yield plain Python ints).
-        np = self._np
-        if np is not None:
-            self._v_b_row = np.frombuffer(self.b_row, dtype=np.int64)
-            self._v_b_nact = np.frombuffer(self.b_nact, dtype=np.int64)
-            self._v_cr_e = np.frombuffer(self.cr_e, dtype=np.int64)
-            self._v_cw_e = np.frombuffer(self.cw_e, dtype=np.int64)
-        else:
-            self._v_b_row = None
-            self._v_b_nact = None
-            self._v_cr_e = None
-            self._v_cw_e = None
 
         self._reset_plan = True
         self._runner = self._make_runner()
@@ -385,11 +368,6 @@ class PackedEngine(ControllerLink):
                 )
         ctrl._read_queue = RequestQueue(B)
         ctrl._write_buffer.queue = RequestQueue(B)
-        # The object scheduler's caches hold stale entries now.
-        sched = ctrl._sched
-        sched.invalidate()
-        sched.cand_read = [None] * B
-        sched.cand_write = [None] * B
         self._reset_plan = True
         self.active = True
 
@@ -514,10 +492,6 @@ class PackedEngine(ControllerLink):
                 req = e_req[i]
                 queue.add(req, decode(req.address), e_flat[i])
             i = e_ng[i]
-        sched = ctrl._sched
-        sched.invalidate()
-        sched.cand_read = [None] * self.B
-        sched.cand_write = [None] * self.B
 
     # ------------------------------------------------------------------
     def run(self, t_limit: int, stop_on_read: bool,
@@ -535,8 +509,8 @@ class PackedEngine(ControllerLink):
         flat array), so the ~100k calls per simulation skip the object
         engine's per-call hoisting entirely. The control flow is a
         faithful transcription of ``MemoryController._run`` /
-        ``_run_one_step`` / ``_issue``, the component ``decide`` /
-        ``plan_entry`` / ``block_info`` methods and the refresh
+        ``_run_one_step`` / ``_issue``, the scheduler components'
+        ``reference_plan`` / ``plan_entry`` / ``block_info`` and the refresh
         ``perform`` sequences; comments here mark the *mapping*, the
         originals document the *why*.
         """
@@ -544,7 +518,6 @@ class PackedEngine(ControllerLink):
         ctrl = self._ctrl()
         spec = ctrl.spec
         B, G = self.B, self.G
-        np = self._np
 
         # --- timing constants -----------------------------------------
         tRP = spec.tRP
@@ -597,7 +570,23 @@ class PackedEngine(ControllerLink):
         flat_index = mapping.flat_bank_index
         line_address = mapping.line_address
         closed_policy = type(ctrl._page) is ClosedPagePolicy
-        fcfs_mode = type(ctrl._sched) is FcfsScheduler
+        sched = ctrl._sched
+        fcfs_mode = type(sched) is FcfsScheduler
+        # QoS arbiter (repro.dram.components.qos): 1 = wrr credit
+        # filter, 2 = bank-reg period gate, 0 = none. bank-reg without a
+        # budget never gates, so it plans exactly as fr-fcfs. Credits
+        # and usage stay in the scheduler object (read per plan, updated
+        # through its note_service), so flush and checkpoints carry them.
+        if type(sched) is WrrScheduler:
+            arb = 1
+        elif type(sched) is BankRegScheduler and sched.budget is not None:
+            arb = 2
+        else:
+            arb = 0
+        note_service = getattr(sched, "note_service", None)
+        weight_of = getattr(sched, "weight_of", None)
+        period = getattr(sched, "period", 0)
+        budget = getattr(sched, "budget", None)
         last_req_by_bank = ctrl._last_req_by_bank
         log_commands = ctrl.log.commands
         bursts = ctrl._log_bursts
@@ -647,8 +636,6 @@ class PackedEngine(ControllerLink):
         rh_r, rt_r, rh_w, rt_w = self.rh_r, self.rt_r, self.rh_w, self.rt_w
         cr_e, cr_k, cr_f, cr_b = self.cr_e, self.cr_k, self.cr_f, self.cr_b
         cw_e, cw_k, cw_f, cw_b = self.cw_e, self.cw_k, self.cw_f, self.cw_b
-        v_b_row, v_b_nact = self._v_b_row, self._v_b_nact
-        v_cr_e, v_cw_e = self._v_cr_e, self._v_cw_e
 
         # Per-decide rank-gate scratch (lazily filled, seen-bitmask).
         cas_rgate = [0] * self.R
@@ -670,14 +657,14 @@ class PackedEngine(ControllerLink):
         plan_epoch_v = -1
         plan_valid = 0
         plan_wmode = False
+        plan_gated = False
         blk_set = False
         blk_scope = _SCOPE_NONE
         blk_reason = ""
-        # Timing epoch + dirty-bank masks for incremental plan repair
-        # (mirrors FrFcfsScheduler.timing_epoch / dirty_read/dirty_write:
+        # Timing epoch + dirty-bank masks for incremental plan repair:
         # only issue and refresh move command timing; admissions merely
         # mark their bank dirty so the next decide can repair the cached
-        # plan from the dirty banks instead of rescanning every bank).
+        # plan from the dirty banks instead of rescanning every bank.
         t_epoch = 0
         plan_t_epoch = -1
         dirty_r = 0
@@ -707,7 +694,7 @@ class PackedEngine(ControllerLink):
             nonlocal gh_r, gt_r, gh_w, gt_w, mask_r, mask_w, rq_n, wq_n
             nonlocal bus_free, bus_last, last_chan, epoch
             nonlocal plan_has, plan_time, plan_ent, plan_kind, plan_flat
-            nonlocal plan_epoch_v, plan_valid, plan_wmode
+            nonlocal plan_epoch_v, plan_valid, plan_wmode, plan_gated
             nonlocal blk_set, blk_scope, blk_reason
             nonlocal t_epoch, plan_t_epoch, dirty_r, dirty_w
 
@@ -923,13 +910,9 @@ class PackedEngine(ControllerLink):
                     if now >= ref_due:
                         epoch += 1
                         t_epoch += 1
-                        if np is not None:
-                            v_cr_e.fill(-1)
-                            v_cw_e.fill(-1)
-                        else:
-                            for f in range(B):
-                                cr_e[f] = -1
-                                cw_e[f] = -1
+                        for f in range(B):
+                            cr_e[f] = -1
+                            cw_e[f] = -1
                         if refresh_kind == 0:
                             # AllBankRefresh.perform
                             t_ready = now
@@ -968,16 +951,10 @@ class PackedEngine(ControllerLink):
                                 t_ref = t_ready
                             refresh_end = t_ref + tRFC
                             refresh_w.append((t_ref, refresh_end))
-                            if np is not None:
-                                np.maximum(
-                                    v_b_nact, refresh_end, out=v_b_nact
-                                )
-                                v_b_row.fill(-1)
-                            else:
-                                for f in range(B):
-                                    if refresh_end > b_nact[f]:
-                                        b_nact[f] = refresh_end
-                                    b_row[f] = -1
+                            for f in range(B):
+                                if refresh_end > b_nact[f]:
+                                    b_nact[f] = refresh_end
+                                b_row[f] = -1
                             ref_until = refresh_end
                             refresh.until = refresh_end
                             refresh.next_due += tREFI
@@ -1059,6 +1036,7 @@ class PackedEngine(ControllerLink):
                         best_ent = -1
                         best_kind = 0
                         best_flat = -1
+                        best_gated = False
                         if write_mode:
                             bhead = bh_w
                             rowh = rh_w
@@ -1077,17 +1055,21 @@ class PackedEngine(ControllerLink):
                             cf = cr_f
                             cb = cr_b
                             m = mask_r
-                        # Incremental repair (FrFcfsScheduler.decide):
-                        # when only admissions bumped the epoch (timing
-                        # unchanged, same write mode, no starvation flip
-                        # due) and the cached winner's bank is clean,
+                        # Incremental repair (fr-fcfs only): when only
+                        # admissions bumped the epoch (timing unchanged,
+                        # same write mode, no starvation flip due) and
+                        # the cached winner's bank is clean, every
+                        # planned candidate's issue time is unchanged, so
                         # seed the tournament with the cached plan and
                         # scan just the dirty banks. Policy precharges
-                        # are skipped — admissions only remove them.
+                        # are skipped — admissions only remove them. The
+                        # QoS arbiters rescan: an admission can change
+                        # the pending-requester set the wrr filter reads.
                         incremental = False
                         changed = False
                         if (
                             not fcfs_mode
+                            and not arb
                             and plan_t_epoch == t_epoch
                             and plan_epoch_v >= 0
                             and plan_wmode == write_mode
@@ -1118,7 +1100,7 @@ class PackedEngine(ControllerLink):
                                 horizon = plan_valid
                                 m &= dirty
                         if fcfs_mode:
-                            # FcfsScheduler.decide: global-oldest only.
+                            # FcfsScheduler: global-oldest only.
                             # When the walk drains the chain the tail must
                             # be dropped with the head: a tail left at a
                             # served entry would absorb the next append
@@ -1200,10 +1182,16 @@ class PackedEngine(ControllerLink):
                                 best_kind = kcode
                                 best_flat = f
                         else:
-                            # FrFcfsScheduler.decide: fused per-bank scan
-                            # over banks with pending work.
+                            # FR-FCFS: fused per-bank candidate selection
+                            # (RequestQueue.select_candidates) and timing
+                            # (plan_entry) over banks with pending work.
                             cas_seen = 0
                             act_seen = 0
+                            gated = False
+                            if arb == 1:
+                                rbest = {}
+                            elif arb == 2:
+                                usage = sched._usage
                             while m:
                                 low = m & -m
                                 m ^= low
@@ -1324,6 +1312,30 @@ class PackedEngine(ControllerLink):
                                 if time < min_cmd:
                                     time = min_cmd
                                 tie = e_rid[ent]
+                                if arb:
+                                    rq = e_req[ent].requester_id
+                                    if arb == 1:
+                                        # WrrScheduler: keep each
+                                        # requester's best; the credit
+                                        # filter picks after the scan.
+                                        cand = (time, prio, tie, ent, kcode, f)
+                                        cur = rbest.get(rq)
+                                        if cur is None or cand < cur:
+                                            rbest[rq] = cand
+                                        continue
+                                    # BankRegScheduler._gate: push an
+                                    # over-budget CAS to the next period.
+                                    gated = False
+                                    if kcode == 0:
+                                        pidx = time // period
+                                        use = usage.get((rq, f))
+                                        if (
+                                            use is not None
+                                            and use[0] == pidx
+                                            and use[1] >= budget
+                                        ):
+                                            time = (pidx + 1) * period
+                                            gated = True
                                 if (
                                     time < best_time
                                     or (
@@ -1343,7 +1355,26 @@ class PackedEngine(ControllerLink):
                                     best_ent = ent
                                     best_kind = kcode
                                     best_flat = f
+                                    best_gated = gated
                                     changed = True
+                            if arb == 1 and rbest:
+                                # WrrScheduler._allowed_requesters: the
+                                # requesters with credits left, or — when
+                                # all are out — every pending requester,
+                                # replenished to its weight.
+                                credits = sched._credits
+                                allowed = [
+                                    r for r in rbest
+                                    if credits.get(r, weight_of(r)) > 0
+                                ]
+                                if not allowed:
+                                    for r in rbest:
+                                        credits[r] = weight_of(r)
+                                    allowed = rbest
+                                (
+                                    best_time, best_prio, best_tie,
+                                    best_ent, best_kind, best_flat,
+                                ) = min(rbest[r] for r in allowed)
                         if closed_policy and not incremental:
                             # ClosedPagePolicy.plan_candidates: precharge
                             # open rows nothing is waiting for.
@@ -1405,6 +1436,7 @@ class PackedEngine(ControllerLink):
                                     best_ent = -1
                                     best_kind = 3
                                     best_flat = f
+                                    best_gated = False
                         if incremental and not changed:
                             # Winner survived: keep the cached plan (and
                             # its lazily derived block info).
@@ -1415,6 +1447,7 @@ class PackedEngine(ControllerLink):
                             plan_ent = best_ent
                             plan_kind = best_kind
                             plan_flat = best_flat
+                            plan_gated = best_gated
                             plan_valid = horizon if not fcfs_mode else _FAR
                             blk_set = False
                         plan_epoch_v = epoch
@@ -1476,7 +1509,10 @@ class PackedEngine(ControllerLink):
                                 # block_info, against the columns.
                                 blk_set = True
                                 f = plan_flat
-                                if plan_ent < 0:
+                                if plan_gated:
+                                    blk_scope = _SCOPE_BANK
+                                    blk_reason = "bank_regulation"
+                                elif plan_ent < 0:
                                     blk_scope = _SCOPE_BANK
                                     blk_reason = "auto_precharge"
                                 elif plan_kind == 2:
@@ -1770,6 +1806,8 @@ class PackedEngine(ControllerLink):
                             burst_o.append(rq)
                             cas_w.append((now, de, f))
                             cas_o.append(rq)
+                            if note_service is not None:
+                                note_service(rq, f, now)
                             e_srv[ent] = 1
                             if is_w:
                                 wq_n -= 1

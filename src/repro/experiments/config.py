@@ -119,7 +119,7 @@ def paper_system(
     docs/devices.md); ``None`` keeps the paper's DDR4-2400.
 
     `engine` selects the controller stepping engine from
-    :data:`repro.dram.controller.ENGINES` (``"packed"``, ``"fast"``,
+    :data:`repro.dram.controller.ENGINES` (``"packed"`` or
     ``"reference"``); ``None`` keeps the
     :class:`~repro.dram.controller.ControllerConfig` default.
 

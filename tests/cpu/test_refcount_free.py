@@ -94,7 +94,7 @@ def _assert_freed(run, check=None) -> None:
 
 @pytest.mark.usefixtures("no_gc")
 class TestRefcountFreesRun:
-    @pytest.mark.parametrize("engine", ["packed", "fast", "reference"])
+    @pytest.mark.parametrize("engine", ["packed", "reference"])
     def test_engines(self, engine):
         _assert_freed(lambda: _simulate(engine=engine))
 

@@ -2,13 +2,8 @@
 
 import pytest
 
-from repro.dram import (
-    ControllerConfig,
-    DDR4_2400,
-    MemoryController,
-    Request,
-    RequestType,
-)
+from repro.dram import ControllerConfig, MemoryController, Request, RequestType
+from repro.dram.timing import DDR4_2400
 from repro.dram.wqueue import WriteQueueConfig
 from repro.errors import ConfigurationError
 

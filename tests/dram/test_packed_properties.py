@@ -8,40 +8,44 @@ Locks down :mod:`repro.dram.packed` from three angles:
   rank/bus fences and the refresh fences — and a round-tripped
   controller finishes the stream bit-identically to one that never
   packed.
-* **Engine agreement** — random request streams produce the same event
-  log digest and the same counters under ``packed``, ``fast`` and
-  ``reference``, across both stock schedulers and both page policies.
-* **Eager rejection** — a custom scheduler registration that exposes
-  neither of the object-engine seams (``decide`` /
-  ``reference_plan``) is refused at config time by ``engine="packed"``
+* **Engine agreement** — random two-requester request streams produce
+  the same event log digest and the same counters under ``packed`` and
+  ``reference``, across every built-in scheduler (the wrr and bank-reg
+  QoS arbiters included) and both page policies.
+* **No fallback** — every built-in scheduler × page × refresh policy
+  runs on the packed loop; only a custom registration (even a subclass
+  of a built-in) falls back, once and logged, to the reference object
+  path.
+* **Eager rejection** — a custom scheduler registration that exposes no
+  ``reference_plan`` planner is refused at config time by either engine
   with an error naming the policy, instead of failing mid-run.
 """
 
 from __future__ import annotations
 
+import logging
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dram import (
-    ControllerConfig,
-    DDR4_2400,
-    MemoryController,
-    Request,
-    RequestType,
-)
+from repro.dram import ControllerConfig, MemoryController, Request, RequestType
 from repro.dram import components
-from repro.dram.packed import PackedEngine
+from repro.dram.components.scheduling import FrFcfsScheduler
+from repro.dram.controller import ENGINES as CONTROLLER_ENGINES
+from repro.dram.packed import PackedEngine, packed_fallback_reason
+from repro.dram.timing import DDR4_2400
 from repro.errors import ConfigurationError
 from repro.reliability.fingerprint import event_log_digest
 from tests.conftest import run_stream
 
-ENGINES = ("packed", "fast", "reference")
+ENGINES = ("packed", "reference")
 
 
 @st.composite
 def streams(draw):
-    """A single-requester mixed read/write stream."""
+    """A mixed read/write stream from up to three requesters."""
     count = draw(st.integers(min_value=1, max_value=50))
     t = 0
     requests = []
@@ -53,6 +57,7 @@ def streams(draw):
             RequestType.WRITE if is_write else RequestType.READ,
             line * 64,
             arrival=t,
+            requester_id=draw(st.integers(min_value=0, max_value=2)),
         ))
     return requests
 
@@ -60,19 +65,20 @@ def streams(draw):
 def spec_of(requests):
     """Pickle the stream into a rebuildable form (runs mutate requests)."""
     return [
-        (rq.req_type, rq.address, rq.arrival) for rq in requests
+        (rq.req_type, rq.address, rq.arrival, rq.requester_id)
+        for rq in requests
     ]
 
 
 def rebuild(stream_spec):
     return [
-        Request(type_, address, arrival=arrival)
-        for type_, address, arrival in stream_spec
+        Request(type_, address, arrival=arrival, requester_id=requester)
+        for type_, address, arrival, requester in stream_spec
     ]
 
 
 def make_controller(
-    engine: str = "fast",
+    engine: str = "reference",
     scheduling: str = "fr-fcfs",
     page_policy: str = "open",
 ) -> MemoryController:
@@ -169,12 +175,15 @@ class TestPackFlushRoundTrip:
 
 
 class TestEngineAgreement:
-    """All three engines emit the same events and counters."""
+    """Both engines emit the same events and counters."""
 
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=25, deadline=None)
     @given(
         requests=streams(),
-        scheduling=st.sampled_from(["fr-fcfs", "fcfs"]),
+        scheduling=st.sampled_from([
+            "fr-fcfs", "fcfs", "wrr", "wrr:2,1",
+            "bank-reg:period=1000,budget=1",
+        ]),
         page_policy=st.sampled_from(["open", "closed"]),
     )
     def test_three_engines_agree(self, requests, scheduling, page_policy):
@@ -186,18 +195,15 @@ class TestEngineAgreement:
                 make_controller(engine, scheduling, page_policy),
                 rebuild(spec),
             )
+            assert (ctrl._packed is not None) == (engine == "packed")
             digests[engine] = event_log_digest(ctrl.log)
             counters[engine] = (
                 ctrl.stats.reads_enqueued, ctrl.stats.writes_enqueued,
                 ctrl.stats.page_hit_rate, ctrl.now,
             )
-        assert digests["packed"] == digests["fast"], (
-            f"packed != fast for {scheduling}/{page_policy}"
-        )
         assert digests["packed"] == digests["reference"], (
             f"packed != reference for {scheduling}/{page_policy}"
         )
-        assert counters["packed"] == counters["fast"]
         assert counters["packed"] == counters["reference"]
 
 
@@ -206,7 +212,7 @@ class TestEagerRejection:
 
     def test_packed_rejects_seamless_scheduler(self):
         class OpaqueScheduler:
-            """Registrable but exposes no object-engine planner seam."""
+            """Registrable but exposes no ``reference_plan`` planner."""
 
             name = "test-opaque"
 
@@ -216,20 +222,90 @@ class TestEagerRejection:
         name = "test-opaque"
         components.SCHEDULERS.register(name)(OpaqueScheduler)
         try:
-            with pytest.raises(ConfigurationError, match=name):
-                ControllerConfig(spec=DDR4_2400, engine="packed",
-                                 scheduling=name)
-            # The same registration is fine under the object engines.
-            ControllerConfig(spec=DDR4_2400, engine="fast",
-                             scheduling=name)
+            # Neither engine has a planner for it: the packed loop runs
+            # only the built-in policies, and the object path plans
+            # through `reference_plan`.
+            for engine in ENGINES:
+                with pytest.raises(ConfigurationError, match=name):
+                    ControllerConfig(spec=DDR4_2400, engine=engine,
+                                     scheduling=name)
         finally:
             del components.SCHEDULERS._factories[name]
 
     def test_engine_error_lists_sorted_choices(self):
         with pytest.raises(ConfigurationError) as excinfo:
             ControllerConfig(spec=DDR4_2400, engine="warp")
-        message = str(excinfo.value)
-        assert "fast" in message and "packed" in message
-        assert message.index("fast") < message.index("packed") < (
-            message.index("reference")
+        assert "['packed', 'reference']" in str(excinfo.value)
+
+
+def _two_requester_stream():
+    rng = random.Random(7)
+    return [
+        Request(
+            RequestType.WRITE if rng.random() < 0.2 else RequestType.READ,
+            rng.randrange(1 << 14) * 64,
+            arrival=i * 7,
+            requester_id=i % 2,
         )
+        for i in range(300)
+    ]
+
+
+class TestNoFallback:
+    """Only custom registrations leave the packed loop."""
+
+    @pytest.mark.parametrize("refresh", components.REFRESH.names())
+    @pytest.mark.parametrize("page_policy", components.PAGE_POLICIES.names())
+    @pytest.mark.parametrize(
+        "scheduling",
+        components.SCHEDULERS.names()
+        + ("wrr:2,1", "bank-reg:period=1000,budget=4"),
+    )
+    def test_builtin_policies_run_packed(
+        self, scheduling, page_policy, refresh
+    ):
+        ctrl = MemoryController(ControllerConfig(
+            spec=DDR4_2400, scheduling=scheduling,
+            page_policy=page_policy, refresh=refresh,
+        ))
+        assert packed_fallback_reason(ctrl) is None
+        assert ctrl._packed is not None
+
+    def test_custom_subclass_falls_back_to_reference(self, caplog):
+        name = "test-custom-fr-fcfs"
+        plans = []
+
+        class CustomScheduler(FrFcfsScheduler):
+            def reference_plan(self, queue, write_mode):
+                plans.append(write_mode)
+                return super().reference_plan(queue, write_mode)
+
+        components.SCHEDULERS.register(name)(CustomScheduler)
+        try:
+            with caplog.at_level(logging.INFO, "repro.dram.controller"):
+                ctrl = make_controller("packed", name)
+            fallbacks = [
+                record.getMessage() for record in caplog.records
+                if "falling back" in record.getMessage()
+            ]
+            assert len(fallbacks) == 1
+            assert name in fallbacks[0]
+            assert ctrl._packed is None
+            assert packed_fallback_reason(ctrl) is not None
+            run_stream(ctrl, _two_requester_stream())
+        finally:
+            del components.SCHEDULERS._factories[name]
+        assert plans, "the object path never planned"
+        reference = run_stream(
+            make_controller("reference"), _two_requester_stream()
+        )
+        assert event_log_digest(ctrl.log) == event_log_digest(
+            reference.log
+        )
+        assert ctrl.stats == reference.stats
+
+    def test_fast_engine_is_rejected(self):
+        assert CONTROLLER_ENGINES == ("packed", "reference")
+        with pytest.raises(ConfigurationError) as excinfo:
+            ControllerConfig(spec=DDR4_2400, engine="fast")
+        assert "['packed', 'reference']" in str(excinfo.value)

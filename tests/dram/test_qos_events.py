@@ -19,14 +19,9 @@ from repro.core.events import (
     RequestCompleted,
     RequesterStalled,
 )
-from repro.dram import (
-    ControllerConfig,
-    DDR4_2400,
-    MemoryController,
-    Request,
-    RequestType,
-)
+from repro.dram import ControllerConfig, MemoryController, Request, RequestType
 from repro.dram.components.accounting import blocked_owner
+from repro.dram.timing import DDR4_2400
 from repro.viz.live import LiveUtilizationMeter
 from tests.conftest import run_stream
 
@@ -130,7 +125,7 @@ class TestRequesterIdOnBus:
 
 
 class TestBlockedOwnersShared:
-    @pytest.mark.parametrize("engine", ["packed", "fast", "reference"])
+    @pytest.mark.parametrize("engine", ["packed", "reference"])
     def test_owner_entries_are_shared_tuples(self, engine):
         """Every blocked window's owner is the one shared tuple for its
         value, on the packed loop and on the object path alike."""

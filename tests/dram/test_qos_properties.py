@@ -24,15 +24,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dram import (
-    ControllerConfig,
-    DDR4_2400,
-    MemoryController,
-    Request,
-    RequestType,
-)
+from repro.dram import ControllerConfig, MemoryController, Request, RequestType
 from repro.dram.address import Coordinates
 from repro.dram.components import make_scheduler, validate_scheduling
+from repro.dram.timing import DDR4_2400
 from repro.errors import ConfigurationError
 from repro.reliability.fingerprint import event_log_digest
 from repro.stacks.bandwidth import BandwidthStackAccountant

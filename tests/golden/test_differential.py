@@ -1,12 +1,13 @@
 """Differential tests: independent configurations that must agree.
 
-Three families of cross-checks, none of which depend on committed
-fixtures — the simulator is differenced against *itself*:
+Three families of cross-checks, which difference the simulator against
+*itself* (only the DDR5 engine rows below also pin committed fixtures):
 
-* **fast vs reference engine** — the optimized scheduler (plan cache,
-  per-bank candidate caches, incremental plan repair, fused
-  wait-and-issue) must produce a bit-identical event log and stacks to
-  the straightforward re-plan-every-step reference engine;
+* **packed vs reference engine** — the optimized controller engine
+  (struct-of-arrays state, plan cache, per-bank candidate caches,
+  incremental plan repair, fused wait-and-issue) must produce a
+  bit-identical event log and stacks to the straightforward
+  re-plan-every-step reference engine;
 * **FCFS vs FR-FCFS** — reordering changes timing but never the work:
   both policies must complete exactly the same read/write requests, and
   each must satisfy the stack-exactness invariants;
@@ -17,6 +18,7 @@ fixtures — the simulator is differenced against *itself*:
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import lru_cache
 
 import pytest
 
@@ -38,7 +40,7 @@ def run_config(
     store_fraction: float = 0.0,
     page_policy: str = "open",
     scheduling: str = "fr-fcfs",
-    engine: str = "fast",
+    engine: str = "packed",
     cores: int = 2,
     prefetch: bool = True,
     core_engine: str = "fast",
@@ -54,9 +56,13 @@ def run_config(
     *counts* across scheduling policies. The cross-policy invariance
     tests below compare the work itself, so they pin the stream down.
     """
+    # The QoS arbiters arbitrate between requester domains: give each
+    # core its own, so their credit and budget state actually binds.
+    qos = scheduling.startswith(("wrr", "bank-reg"))
     config = paper_system(
         cores=cores, page_policy=page_policy, gap=True,
         core=CoreConfig(engine=core_engine), device=device,
+        requesters=cores if qos else None,
     )
     memory = replace(config.memory, scheduling=scheduling, engine=engine)
     if prefetch:
@@ -73,8 +79,20 @@ def run_config(
     return CpuSystem(config).run(workload.traces(cores), guard=False)
 
 
+@lru_cache(maxsize=None)
+def engine_fingerprint(
+    pattern, store_fraction, page_policy, scheduling, engine, device
+) -> dict:
+    """`result_fingerprint` of one `run_config` run, computed once per
+    module: the engine matrices below share configurations."""
+    return result_fingerprint(run_config(
+        pattern, store_fraction, page_policy, scheduling,
+        engine=engine, device=device,
+    ))
+
+
 # ----------------------------------------------------------------------
-# Fast engine vs reference engine: bit-identical results.
+# Optimized (packed) engine vs reference engine: bit-identical results.
 # ----------------------------------------------------------------------
 ENGINE_MATRIX = [
     # (pattern, store_fraction, page_policy, scheduling)
@@ -99,28 +117,30 @@ ENGINE_MATRIX = [
 def test_fast_engine_matches_reference(
     pattern, store_fraction, page_policy, scheduling
 ):
-    fast = result_fingerprint(run_config(
-        pattern, store_fraction, page_policy, scheduling, engine="fast"
-    ))
-    reference = result_fingerprint(run_config(
-        pattern, store_fraction, page_policy, scheduling,
-        engine="reference",
-    ))
-    problems = diff_fingerprints(reference, fast)
+    """The optimized controller engine (``packed``; this test predates
+    the removal of the ``fast`` object engine) is bit-identical to the
+    reference engine."""
+    packed = engine_fingerprint(
+        pattern, store_fraction, page_policy, scheduling, "packed", None
+    )
+    reference = engine_fingerprint(
+        pattern, store_fraction, page_policy, scheduling, "reference", None
+    )
+    problems = diff_fingerprints(reference, packed)
     assert not problems, (
-        "fast engine diverged from reference:\n  " + "\n  ".join(problems)
+        "packed engine diverged from reference:\n  "
+        + "\n  ".join(problems)
     )
 
 
 # ----------------------------------------------------------------------
-# Packed engine vs fast vs reference: bit-identical results.
+# Packed engine vs reference across policies and devices.
 # ----------------------------------------------------------------------
-# The packed struct-of-arrays engine must agree with both object
-# engines everywhere it claims support — both page policies, both stock
-# schedulers, store mixes — and everywhere it *falls back*: the QoS
-# entry ("wrr:2,1") exercises the documented object-path fallback
-# (packed_fallback_reason logs it once), and the device entries run the
-# packed loop per channel under DDR5/LPDDR5 timing presets.
+# The packed struct-of-arrays engine runs every built-in policy: both
+# page policies, all four schedulers (the QoS arbiters included), store
+# mixes, and DDR5/LPDDR5 timing presets per channel. It must agree with
+# the reference engine bit for bit on every row — except on the DDR5
+# rows (see DDR5_ROWS below).
 PACKED_MATRIX = [
     # (pattern, store_fraction, page_policy, scheduling, device)
     ("sequential", 0.0, "open", "fr-fcfs", None),
@@ -132,11 +152,35 @@ PACKED_MATRIX = [
     ("sequential", 0.0, "open", "fcfs", None),
     ("random", 0.3, "closed", "fcfs", None),
     ("strided", 0.0, "closed", "fr-fcfs", None),
-    ("random", 0.2, "open", "wrr:2,1", None),  # QoS: documented fallback
+    ("random", 0.2, "open", "wrr:2,1", None),
+    ("random", 0.2, "open", "wrr", None),
+    ("random", 0.2, "closed", "wrr:2,1", None),
+    ("random", 0.2, "open", "bank-reg:period=1000,budget=4", None),
     ("random", 0.0, "open", "fr-fcfs", "ddr5-4800"),
     ("sequential", 0.3, "closed", "fr-fcfs", "ddr5-4800"),
     ("random", 0.0, "open", "fr-fcfs", "lpddr5-6400"),
 ]
+
+#: Rows where packed and reference may split a blocked-attribution
+#: window differently. The packed engine derives a wait's binding
+#: constraint once, when the wait starts, and extends the window in
+#: place; the reference engine re-derives it at each of its own
+#: (different) re-entry cycles, so on DDR5 sub-channels a fence that
+#: expires mid-wait — leaving only the unattributed one-command-per-
+#: cycle gate — is labeled differently. Every other timeline and the
+#: stacks must still match exactly, and both fingerprints are pinned
+#: byte for byte by golden fixtures, so the delta can neither grow nor
+#: spread.
+DDR5_ROWS = {
+    row for row in PACKED_MATRIX if row[4] == "ddr5-4800"
+}
+
+
+def _row_id(pattern, store_fraction, page_policy, scheduling, device):
+    return (
+        f"{pattern}-sf{store_fraction}-{page_policy}-{scheduling}-"
+        f"{device or 'ddr4'}"
+    )
 
 
 def _channel_logs(result):
@@ -150,65 +194,42 @@ def _channel_logs(result):
 @pytest.mark.parametrize(
     "pattern,store_fraction,page_policy,scheduling,device",
     PACKED_MATRIX,
-    ids=[
-        f"{p}-sf{sf}-{pp}-{sched}-{dev or 'ddr4'}"
-        for p, sf, pp, sched, dev in PACKED_MATRIX
-    ],
+    ids=[_row_id(*row) for row in PACKED_MATRIX],
 )
 def test_packed_engine_matches_fast_and_reference(
-    pattern, store_fraction, page_policy, scheduling, device
+    pattern, store_fraction, page_policy, scheduling, device, golden
 ):
-    packed_run = run_config(
-        pattern, store_fraction, page_policy, scheduling,
-        engine="packed", device=device,
-    )
-    fast_run = run_config(
-        pattern, store_fraction, page_policy, scheduling,
-        engine="fast", device=device,
-    )
-    packed = result_fingerprint(packed_run)
-    fast = result_fingerprint(fast_run)
-    problems = diff_fingerprints(fast, packed)
-    assert not problems, (
-        "packed engine diverged from fast:\n  " + "\n  ".join(problems)
-    )
-    reference_run = run_config(
-        pattern, store_fraction, page_policy, scheduling,
-        engine="reference", device=device,
-    )
-    reference = result_fingerprint(reference_run)
-    ref_vs_packed = diff_fingerprints(reference, packed)
-    ref_vs_fast = diff_fingerprints(reference, fast)
-    # The packed engine's contract is bit-identity with *fast*. Fast and
-    # reference agree on every command they issue, but their blocked-
-    # *attribution* logs can legitimately split a wait window at
-    # different cycles: fast derives the binding constraint once when
-    # the wait starts and extends the window in place, while reference
-    # re-derives it at each of its own (different) re-entry cycles, so a
-    # fence that expires mid-wait — leaving only the unattributed
-    # one-command-per-cycle gate — is labeled differently. The stacks
-    # and every command timeline still must match exactly; packed must
-    # never *add* a divergence fast does not already have.
-    assert ref_vs_packed == ref_vs_fast, (
-        "packed engine diverged from reference beyond the known "
-        "fast-vs-reference attribution delta:\n  packed: "
-        + "\n  ".join(ref_vs_packed)
-        + "\n  fast: " + "\n  ".join(ref_vs_fast)
-    )
-    if ref_vs_fast:
-        from repro.reliability.fingerprint import _LOG_FIELDS
+    """Packed vs reference; on the DDR5 rows, both vs their fixtures."""
+    row = (pattern, store_fraction, page_policy, scheduling, device)
+    if row not in DDR5_ROWS:
+        packed = engine_fingerprint(*row[:4], "packed", device)
+        reference = engine_fingerprint(*row[:4], "reference", device)
+        problems = diff_fingerprints(reference, packed)
+        assert not problems, (
+            "packed engine diverged from reference:\n  "
+            + "\n  ".join(problems)
+        )
+        return
+    name = f"differential-{_row_id(*row)}"
+    packed_run = run_config(*row[:4], engine="packed", device=device)
+    reference_run = run_config(*row[:4], engine="reference", device=device)
+    packed = golden(f"{name}-packed", packed_run)
+    reference = golden(f"{name}-reference", reference_run)
+    for section in ("bandwidth", "latency", "counts"):
+        assert packed[section] == reference[section], section
+    from repro.reliability.fingerprint import _LOG_FIELDS
 
-        for ch, (plog, rlog) in enumerate(zip(
-            _channel_logs(packed_run), _channel_logs(reference_run)
-        )):
-            for name in _LOG_FIELDS:
-                if name == "blocked":
-                    continue
-                assert getattr(plog, name) == getattr(rlog, name), (
-                    f"channel {ch} {name} timeline diverged — the "
-                    "fast-vs-reference delta must be confined to "
-                    "blocked attribution"
-                )
+    for ch, (plog, rlog) in enumerate(zip(
+        _channel_logs(packed_run), _channel_logs(reference_run)
+    )):
+        for field in _LOG_FIELDS:
+            if field == "blocked":
+                continue
+            assert getattr(plog, field) == getattr(rlog, field), (
+                f"channel {ch} {field} timeline diverged — the "
+                "packed-vs-reference delta must be confined to blocked "
+                "attribution"
+            )
 
 
 # ----------------------------------------------------------------------

@@ -70,14 +70,22 @@ def test_bank_reg_two_cores_plus_agent(golden):
     "scheduling", ["wrr:3,1", "bank-reg:period=1000,budget=4"]
 )
 def test_fast_vs_reference_engines_match(scheduling):
-    """The QoS schedulers keep the two core engines bit-identical."""
-    fingerprints = [
-        qos_fingerprint(run_qos(
+    """The QoS schedulers keep both core engines and both controller
+    engines bit-identical: the packed loop's wrr/bank-reg arbitration
+    matches the reference planners."""
+    fingerprints = {
+        (core_engine, engine): qos_fingerprint(run_qos(
             scheduling=scheduling,
             scale=QOS_SCALE,
             guard=False,
-            core_engine=engine,
+            core_engine=core_engine,
+            engine=engine,
         ))
-        for engine in ("fast", "reference")
-    ]
-    assert fingerprints[0]["digest"] == fingerprints[1]["digest"]
+        for core_engine, engine in (
+            ("fast", "packed"),
+            ("reference", "packed"),
+            ("fast", "reference"),
+        )
+    }
+    digests = {key: fp["digest"] for key, fp in fingerprints.items()}
+    assert len(set(digests.values())) == 1, digests

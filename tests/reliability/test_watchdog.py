@@ -134,7 +134,7 @@ class TestIntegration:
 
 @pytest.mark.parametrize("core_engine,engine", [
     ("fast", "packed"),
-    ("fast", "fast"),
+    ("fast", "reference"),
     ("reference", "packed"),
     ("reference", "reference"),
 ])

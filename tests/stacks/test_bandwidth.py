@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.dram import ControllerConfig, DDR4_2400, MemoryController
+from repro.dram import ControllerConfig, MemoryController
 from repro.dram.controller import EventLog
 from repro.dram.rank import BlockScope
+from repro.dram.timing import DDR4_2400
 from repro.errors import AccountingError
 from repro.stacks.bandwidth import (
     BANDWIDTH_COMPONENTS,

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.dram import ControllerConfig, DDR4_2400, MemoryController
+from repro.dram import ControllerConfig, MemoryController
+from repro.dram.timing import DDR4_2400
 from repro.stacks.bandwidth import BANDWIDTH_COMPONENTS, BandwidthStackAccountant
 from repro.stacks.latency import LatencyStackAccountant
 

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.dram import ControllerConfig, DDR4_2400, MemoryController, Request, RequestType
+from repro.dram import ControllerConfig, MemoryController, Request, RequestType
 from repro.dram.controller import EventLog
+from repro.dram.timing import DDR4_2400
 from repro.errors import AccountingError
 from repro.stacks.energy import (
     ENERGY_COMPONENTS,

@@ -4,8 +4,8 @@ import pytest
 
 from repro.cpu import CpuSystem, SystemConfig
 from repro.cpu.core import TraceItem
-from repro.dram import DDR4_2400
 from repro.dram.controller import EventLog
+from repro.dram.timing import DDR4_2400
 from repro.errors import AccountingError
 from repro.stacks.bandwidth import BandwidthStackAccountant
 

@@ -17,13 +17,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.dram import (
-    ControllerConfig,
-    DDR4_2400,
-    MemoryController,
-    Request,
-    RequestType,
-)
+from repro.dram import ControllerConfig, MemoryController, Request, RequestType
+from repro.dram.timing import DDR4_2400
 from repro.dram.wqueue import WriteQueueConfig
 from repro.stacks.bandwidth import BandwidthStackAccountant
 from repro.stacks.latency import LatencyStackAccountant

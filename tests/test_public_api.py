@@ -83,18 +83,3 @@ class TestDeviceLibrary:
 
         for spec in (DDR4_2400, DDR4_3200, DDR5_4800):
             assert spec.name
-
-    def test_dram_namespace_aliases_are_deprecated(self):
-        import warnings
-
-        import repro.dram
-
-        for name in ("DDR4_2400", "DDR4_3200", "DDR5_4800"):
-            assert name in repro.dram.__all__
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                try:
-                    getattr(repro.dram, name)
-                except DeprecationWarning:
-                    continue
-                raise AssertionError(f"{name} did not warn")

@@ -4,7 +4,8 @@ import io
 
 import pytest
 
-from repro.dram import ControllerConfig, DDR4_2400, MemoryController, Request, RequestType
+from repro.dram import ControllerConfig, MemoryController, Request, RequestType
+from repro.dram.timing import DDR4_2400
 from repro.errors import TraceFormatError
 from repro.stacks.bandwidth import bandwidth_stack_from_log
 from repro.trace.events import CommandRecord, RequestRecord, TraceFile
