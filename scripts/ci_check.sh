@@ -20,6 +20,7 @@ SERVICE_TIMEOUT="${SERVICE_TIMEOUT:-180}"
 CHAOS_TIMEOUT="${CHAOS_TIMEOUT:-120}"
 QOS_TIMEOUT="${QOS_TIMEOUT:-120}"
 DEVICES_TIMEOUT="${DEVICES_TIMEOUT:-120}"
+PERFBENCH_TIMEOUT=300  # fixed: not read from the environment
 
 MARKER_ARGS=()
 if [[ "${1:-}" == "fast" ]]; then
@@ -78,6 +79,14 @@ echo "== device library smoke (timeout ${DEVICES_TIMEOUT}s) =="
 # device matrix is tests/devices/ and tests/golden/test_devices.py.
 timeout --signal=KILL "$DEVICES_TIMEOUT" \
     python scripts/devices_smoke.py
+
+echo "== benchmark self-test (timeout ${PERFBENCH_TIMEOUT}s) =="
+# At seed 42 every benchmark workload must reproduce the shipped
+# figures: each run's result fingerprint digest equals the one pinned in
+# perfbench/pins.json, so a change to how the event log is stored or
+# hashed cannot alter a result unnoticed. About 2 minutes.
+timeout --signal=KILL "$PERFBENCH_TIMEOUT" \
+    python -m pytest -x -q perfbench/test_selftest.py
 
 echo "== wall-clock smoke benchmark (timeout ${BENCH_TIMEOUT}s) =="
 # Gates on BENCH_PR5.json: warns past a 10% slowdown, fails past 25%

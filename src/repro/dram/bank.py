@@ -31,8 +31,9 @@ class Bank:
 
     The bank does not schedule anything itself; the controller asks it for
     earliest-issue times and informs it when commands are issued. Busy
-    windows are appended to the lists the controller hands in, so all banks
-    log into one shared event timeline.
+    windows ``(start, end, flat_bank)`` are appended to the timelines the
+    controller hands in, so all banks log into one shared event log; the
+    caller appends each window's requester to the matching owner column.
     """
 
     __slots__ = (
@@ -48,8 +49,8 @@ class Bank:
         spec: TimingSpec,
         bank_group: int,
         bank: int,
-        pre_windows: list[tuple[int, int, int]],
-        act_windows: list[tuple[int, int, int]],
+        pre_windows,
+        act_windows,
         flat_index: int,
     ) -> None:
         self._spec = spec

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.dram.components.accounting import Timeline
+
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import
     # cycle: wqueue imports this module for its default policy)
     from repro.dram.wqueue import WriteQueueConfig
@@ -35,9 +37,9 @@ class WatermarkDrainPolicy:
         self._high_entries = config.high_entries
         self._low_entries = config.low_entries
         self.draining = False
-        #: Completed forced-drain windows [(start, end)], shared by
+        #: Completed forced-drain windows (start, end), shared by
         #: reference with the accounting tap's event log.
-        self.windows: list[tuple[int, int]] = []
+        self.windows = Timeline()
         self._drain_start = -1
         self.stats_forced_drains = 0
 

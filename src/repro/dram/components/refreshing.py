@@ -51,9 +51,12 @@ class AllBankRefresh(ControllerLink):
         t_ready = max(t_ready, ctrl._bus.free_at)
         if any_open:
             t_pre = t_ready
+            pre_owners = ctrl.log.pre_owners
             for bank in ctrl._banks:
                 if bank.is_open:
                     bank.do_precharge(t_pre)
+                    # No requester caused it: the shared row.
+                    pre_owners.append(-1)
                     ctrl.stats.precharges += 1
             ctrl._record_command(
                 CommandType.PRECHARGE_ALL, t_pre, -1, ctrl._banks[0]
@@ -115,6 +118,7 @@ class SameBankRefresh(ControllerLink):
         if bank.is_open:
             t_pre = max(t_ref, bank.next_pre)
             bank.do_precharge(t_pre)
+            ctrl.log.pre_owners.append(-1)
             ctrl.stats.precharges += 1
             ctrl._record_command(
                 CommandType.PRECHARGE, t_pre, bank.bank_group, bank

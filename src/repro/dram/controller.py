@@ -42,7 +42,7 @@ from repro.dram import components
 from repro.dram.address import AddressMapping
 from repro.dram.bank import Bank
 from repro.dram.commands import Command, CommandType, Request, RequestType
-from repro.dram.components.accounting import EventLog, blocked_owner
+from repro.dram.components.accounting import EventLog
 from repro.dram.components.paging import _BankCoords  # noqa: F401 - re-export
 from repro.dram.packed import PackedEngine, packed_fallback_reason
 from repro.dram.rank import BlockScope, RankTiming, SharedBus
@@ -330,18 +330,17 @@ class MemoryController:
         self._tRCD = self.spec.tRCD
         self._trace_commands = self.config.keep_command_trace
         self._forward_latency = self.config.forward_latency
-        # The log's lists, shared by reference (EventLog never reassigns
-        # them), so the issue path skips the attribute chains.
+        # The log's timelines, shared by reference (EventLog never
+        # reassigns them), so the issue path skips the attribute chains.
         self._log_bursts = self.log.bursts
         self._log_cas_windows = self.log.cas_windows
         self._log_blocked = self.log.blocked
-        # Requester-attribution sidecars (see EventLog): appended in
-        # lockstep with their primaries so per-requester stacks can be
-        # built without touching the fingerprinted timelines.
+        # Requester owner columns (see EventLog): appended in lockstep
+        # with their timelines, so entry i names the owner of window i.
         self._log_burst_owners = self.log.burst_owners
         self._log_cas_owners = self.log.cas_owners
-        self._log_pre_owners = self.log.pre_owner_windows
-        self._log_act_owners = self.log.act_owner_windows
+        self._log_pre_owners = self.log.pre_owners
+        self._log_act_owners = self.log.act_owners
         self._log_blocked_owners = self.log.blocked_owners
         # Last requester to issue a request-driven command, per bank and
         # channel-wide: a blocked candidate whose binding constraint was
@@ -806,19 +805,15 @@ class MemoryController:
                         and last[2] is BlockScope.CHANNEL
                         and last[4] == "data_inflight"
                     ):
-                        lb[-1] = (
-                            last[0], end, BlockScope.CHANNEL, -1,
-                            "data_inflight",
-                        )
+                        lb.ends[-1] = end
                     else:
                         lb.append(
                             (now, end, BlockScope.CHANNEL, -1, "data_inflight")
                         )
                         # Pipeline drain blocks no requester in
-                        # particular: shared row, never interference.
-                        self._log_blocked_owners.append(
-                            blocked_owner(-1, False)
-                        )
+                        # particular: shared row (victim -1), never
+                        # interference.
+                        self._log_blocked_owners.append(-2)
             return self._advance_to(wake, t_limit)
 
         (key, entry, cmd_type, coords) = best
@@ -860,7 +855,7 @@ class MemoryController:
                 else:
                     victim = -1
                     inter = False
-                owner = blocked_owner(victim, inter)
+                owner = victim * 2 + inter
                 # Extend the previous window in place when contiguous
                 # with an identical payload (windows are disjoint and
                 # time-ordered, so this changes no attribution).
@@ -875,7 +870,7 @@ class MemoryController:
                     and last[4] == block.reason
                     and lbo[-1] == owner
                 ):
-                    lb[-1] = (last[0], end, block.scope, bg, block.reason)
+                    lb.ends[-1] = end
                 else:
                     lb.append((now, end, block.scope, bg, block.reason))
                     lbo.append(owner)
@@ -951,7 +946,7 @@ class MemoryController:
         if cmd_type is _PRE:
             bank.do_precharge(t)
             stats.precharges += 1
-            self._log_pre_owners.append((t, t + self._tRP, flat, rq))
+            self._log_pre_owners.append(rq)
             if req.own_pre_start < 0:
                 req.own_pre_start = t
                 req.own_pre_end = t + self._tRP
@@ -959,7 +954,7 @@ class MemoryController:
             bank.do_activate(t, coords.row)
             self._ranks[coords.rank].record_act(t, coords.bank_group)
             stats.activates += 1
-            self._log_act_owners.append((t, t + self._tRCD, flat, rq))
+            self._log_act_owners.append(rq)
             if req.own_act_start < 0:
                 req.own_act_start = t
                 req.own_act_end = t + self._tRCD

@@ -63,7 +63,7 @@ from repro.core.events import (
     SchedulerHeartbeat,
 )
 from repro.dram.commands import Command, CommandType, RequestType
-from repro.dram.components.accounting import blocked_owner
+from repro.dram.components.accounting import REASON_CODE, SCOPE_CODE
 from repro.dram.components.link import ControllerLink
 from repro.dram.components.paging import ClosedPagePolicy, OpenPagePolicy
 from repro.dram.components.refreshing import (
@@ -99,8 +99,12 @@ _SCOPE_BG = BlockScope.BANK_GROUP
 _SCOPE_RANK = BlockScope.RANK
 _SCOPE_CHANNEL = BlockScope.CHANNEL
 
-#: Shared owner tuple for pipeline-drain windows (never interference).
-_NO_OWNER = blocked_owner(-1, False)
+#: Blocked-owner code of pipeline-drain windows: victim -1, never
+#: interference (``victim * 2 + inter``).
+_NO_OWNER = -2
+#: Blocked-column codes of the pipeline-drain window's scope and reason.
+_CODE_CHANNEL = SCOPE_CODE[_SCOPE_CHANNEL]
+_CODE_INFLIGHT = REASON_CODE["data_inflight"]
 
 
 #: Scheduler classes the packed loop replicates (exact types: a
@@ -588,20 +592,27 @@ class PackedEngine(ControllerLink):
         period = getattr(sched, "period", 0)
         budget = getattr(sched, "budget", None)
         last_req_by_bank = ctrl._last_req_by_bank
-        log_commands = ctrl.log.commands
-        bursts = ctrl._log_bursts
-        cas_w = ctrl._log_cas_windows
-        lb = ctrl._log_blocked
-        burst_o = ctrl._log_burst_owners
-        cas_o = ctrl._log_cas_owners
-        pre_o = ctrl._log_pre_owners
-        act_o = ctrl._log_act_owners
-        lbo = ctrl._log_blocked_owners
-        owner_of = blocked_owner
-        pre_w = ctrl.log.pre_windows
-        act_w = ctrl.log.act_windows
-        refresh_w = ctrl.log.refresh_windows
-        bank_refresh_w = ctrl.log.bank_refresh_windows
+        log = ctrl.log
+        log_commands = log.commands
+        # Event-log columns (EventLog timelines): appends straight to
+        # each column; the blocked columns themselves, whose tails the
+        # merge-on-append reads and rewrites.
+        bu_s, bu_e, bu_w, bu_c = [c.append for c in log.bursts.columns]
+        ca_s, ca_e, ca_b = [c.append for c in log.cas_windows.columns]
+        pr_s, pr_e, pr_b = [c.append for c in log.pre_windows.columns]
+        ac_s, ac_e, ac_b = [c.append for c in log.act_windows.columns]
+        rf_s, rf_e = [c.append for c in log.refresh_windows.columns]
+        br_s, br_e, br_b = [
+            c.append for c in log.bank_refresh_windows.columns
+        ]
+        lb_s, lb_e, lb_sc, lb_bg, lb_rs = log.blocked.columns
+        burst_o = log.burst_owners.append
+        cas_o = log.cas_owners.append
+        pre_o = log.pre_owners.append
+        act_o = log.act_owners.append
+        lbo = log.blocked_owners
+        scope_code = SCOPE_CODE
+        reason_code = REASON_CODE
         ev_command = ctrl._ev_command
         ev_admit = ctrl._ev_admit
         ev_complete = ctrl._ev_complete
@@ -939,7 +950,10 @@ class PackedEngine(ControllerLink):
                                             b_nact[f] = done
                                         bs_pre[f] += 1
                                         stats.precharges += 1
-                                        pre_w.append((t_pre, done, f))
+                                        pr_s(t_pre)
+                                        pr_e(done)
+                                        pr_b(f)
+                                        pre_o(-1)
                                 if trace_commands:
                                     log_commands.append(Command(
                                         cmd_type=_CT_PRE_ALL, issue=t_pre,
@@ -950,7 +964,8 @@ class PackedEngine(ControllerLink):
                             else:
                                 t_ref = t_ready
                             refresh_end = t_ref + tRFC
-                            refresh_w.append((t_ref, refresh_end))
+                            rf_s(t_ref)
+                            rf_e(refresh_end)
                             for f in range(B):
                                 if refresh_end > b_nact[f]:
                                     b_nact[f] = refresh_end
@@ -987,7 +1002,10 @@ class PackedEngine(ControllerLink):
                                 if done > b_nact[f]:
                                     b_nact[f] = done
                                 bs_pre[f] += 1
-                                pre_w.append((t_pre, done, f))
+                                pr_s(t_pre)
+                                pr_e(done)
+                                pr_b(f)
+                                pre_o(-1)
                                 stats.precharges += 1
                                 if trace_commands:
                                     log_commands.append(Command(
@@ -999,7 +1017,9 @@ class PackedEngine(ControllerLink):
                             if c > t_ref:
                                 t_ref = c
                             refresh_end = t_ref + tRFCsb
-                            bank_refresh_w.append((t_ref, refresh_end, f))
+                            br_s(t_ref)
+                            br_e(refresh_end)
+                            br_b(f)
                             if refresh_end > b_nact[f]:
                                 b_nact[f] = refresh_end
                             if refresh_end > b_npre[f]:
@@ -1468,22 +1488,19 @@ class PackedEngine(ControllerLink):
                                 wake = t2
                             end = wake if wake < t_limit else t_limit
                             if end > now:
-                                last = lb[-1] if lb else None
                                 if (
-                                    last is not None
-                                    and last[1] == now
-                                    and last[2] is _SCOPE_CHANNEL
-                                    and last[4] == "data_inflight"
+                                    lb_e
+                                    and lb_e[-1] == now
+                                    and lb_sc[-1] == _CODE_CHANNEL
+                                    and lb_rs[-1] == _CODE_INFLIGHT
                                 ):
-                                    lb[-1] = (
-                                        last[0], end, _SCOPE_CHANNEL, -1,
-                                        "data_inflight",
-                                    )
+                                    lb_e[-1] = end
                                 else:
-                                    lb.append((
-                                        now, end, _SCOPE_CHANNEL, -1,
-                                        "data_inflight",
-                                    ))
+                                    lb_s.append(now)
+                                    lb_e.append(end)
+                                    lb_sc.append(_CODE_CHANNEL)
+                                    lb_bg.append(-1)
+                                    lb_rs.append(_CODE_INFLIGHT)
                                     lbo.append(_NO_OWNER)
                         target = wake if wake < t_limit else t_limit
                         if target <= now:
@@ -1621,23 +1638,24 @@ class PackedEngine(ControllerLink):
                                 victim = -1
                                 blocker = -1
                                 inter = False
-                            owner = owner_of(victim, inter)
-                            last = lb[-1] if lb else None
+                            owner = victim * 2 + inter
+                            scode = scope_code[blk_scope]
+                            rcode = reason_code[blk_reason]
                             if (
-                                last is not None
-                                and last[1] == now
-                                and last[2] is blk_scope
-                                and last[3] == bg
-                                and last[4] == blk_reason
+                                lb_e
+                                and lb_e[-1] == now
+                                and lb_sc[-1] == scode
+                                and lb_bg[-1] == bg
+                                and lb_rs[-1] == rcode
                                 and lbo[-1] == owner
                             ):
-                                lb[-1] = (
-                                    last[0], end, blk_scope, bg, blk_reason
-                                )
+                                lb_e[-1] = end
                             else:
-                                lb.append(
-                                    (now, end, blk_scope, bg, blk_reason)
-                                )
+                                lb_s.append(now)
+                                lb_e.append(end)
+                                lb_sc.append(scode)
+                                lb_bg.append(bg)
+                                lb_rs.append(rcode)
                                 lbo.append(owner)
                                 if inter and ev_stalled:
                                     event = RequesterStalled(
@@ -1722,9 +1740,11 @@ class PackedEngine(ControllerLink):
                             if done > b_nact[f]:
                                 b_nact[f] = done
                             bs_pre[f] += 1
-                            pre_w.append((now, done, f))
+                            pr_s(now)
+                            pr_e(done)
+                            pr_b(f)
+                            pre_o(rq)
                             stats.precharges += 1
-                            pre_o.append((now, done, f, rq))
                             if req.own_pre_start < 0:
                                 req.own_pre_start = now
                                 req.own_pre_end = done
@@ -1743,7 +1763,10 @@ class PackedEngine(ControllerLink):
                             if t2 > b_nact[f]:
                                 b_nact[f] = t2
                             bs_act[f] += 1
-                            act_w.append((now, ready, f))
+                            ac_s(now)
+                            ac_e(ready)
+                            ac_b(f)
+                            act_o(rq)
                             i2 = rk * G + bg
                             rg_act[i2] = now
                             rk_act[rk] = now
@@ -1753,7 +1776,6 @@ class PackedEngine(ControllerLink):
                             if faw_n[rk] < 4:
                                 faw_n[rk] += 1
                             stats.activates += 1
-                            act_o.append((now, ready, f, rq))
                             if req.own_act_start < 0:
                                 req.own_act_start = now
                                 req.own_act_end = ready
@@ -1802,10 +1824,15 @@ class PackedEngine(ControllerLink):
                             req.data_start = ds
                             req.finish = de
                             req.row_hit = hit
-                            bursts.append((ds, de, is_w, req.core_id))
-                            burst_o.append(rq)
-                            cas_w.append((now, de, f))
-                            cas_o.append(rq)
+                            bu_s(ds)
+                            bu_e(de)
+                            bu_w(is_w)
+                            bu_c(req.core_id)
+                            burst_o(rq)
+                            ca_s(now)
+                            ca_e(de)
+                            ca_b(f)
+                            cas_o(rq)
                             if note_service is not None:
                                 note_service(rq, f, now)
                             e_srv[ent] = 1

@@ -114,11 +114,11 @@ class InvariantAuditor:
         updated in place, so repeated calls cost O(new events) and the
         whole run costs O(total events).
         """
-        bursts = log.bursts
+        starts, ends = log.bursts.starts, log.bursts.ends
         start_idx = cursors.get("bursts", 0)
-        prev_end = bursts[start_idx - 1][1] if start_idx > 0 else 0
-        for i in range(start_idx, len(bursts)):
-            s, e = bursts[i][0], bursts[i][1]
+        prev_end = ends[start_idx - 1] if start_idx > 0 else 0
+        for i in range(start_idx, len(starts)):
+            s, e = starts[i], ends[i]
             if s < prev_end:
                 self.report(
                     "burst-overlap",
@@ -131,12 +131,13 @@ class InvariantAuditor:
                     "burst-negative", f"data burst [{s}, {e}) runs backwards"
                 )
             prev_end = max(prev_end, e)
-        cursors["bursts"] = len(bursts)
+        cursors["bursts"] = len(starts)
 
         for name in ("pre_windows", "act_windows", "cas_windows"):
             windows = getattr(log, name)
+            starts, ends = windows.starts, windows.ends
             for i in range(cursors.get(name, 0), len(windows)):
-                s, e = windows[i][0], windows[i][1]
+                s, e = starts[i], ends[i]
                 if e < s:
                     self.report(
                         "window-negative",
@@ -145,8 +146,9 @@ class InvariantAuditor:
             cursors[name] = len(windows)
 
         blocked = log.blocked
+        starts, ends = blocked.starts, blocked.ends
         for i in range(cursors.get("blocked", 0), len(blocked)):
-            s, e = blocked[i][0], blocked[i][1]
+            s, e = starts[i], ends[i]
             if e < s:
                 self.report(
                     "blocked-negative",

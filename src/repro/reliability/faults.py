@@ -169,10 +169,10 @@ def overlap_bursts(log, overlap_cycles: int = 2) -> None:
     """
     if not log.bursts:
         raise ConfigurationError("event log has no bursts to overlap")
-    start, end, is_write = (
-        log.bursts[-1][0], log.bursts[-1][1], log.bursts[-1][2],
-    )
+    last = log.bursts[-1]
+    start, end, is_write = last[0], last[1], last[2]
     length = max(1, end - start)
-    log.bursts.append(
-        (end - overlap_cycles, end - overlap_cycles + length, is_write, -1)
-    )
+    burst = (end - overlap_cycles, end - overlap_cycles + length, is_write, -1)
+    # Offline logs record (start, end, is_write) bursts.
+    log.bursts.append(burst[:len(last)])
+    log.burst_owners.append(-1)

@@ -23,6 +23,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from itertools import islice
+
+from repro.dram.components.accounting import Timeline
 
 #: EventLog attributes folded into the digest, in a fixed order.
 _LOG_FIELDS = (
@@ -36,17 +39,19 @@ _LOG_FIELDS = (
 )
 
 
-#: List entries rendered per hash update by :func:`_update_repr`.
+#: Timeline entries rendered per hash update by :func:`_update_repr`.
 _REPR_CHUNK = 4096
 
 
 def event_log_digest(log) -> str:
     """SHA-256 over the controller's recorded timelines.
 
-    Covers every list the stack accountants consume (bursts, per-bank
-    command windows, refresh/drain windows, blocked intervals). Entries
-    are hashed via ``repr``, which is exact for the int/str/enum tuples
-    the log holds — no float formatting is involved.
+    Covers every timeline the stack accountants consume (bursts,
+    per-bank command windows, refresh/drain windows, blocked
+    intervals). Entries are hashed via ``repr`` of the tuples the
+    timelines rebuild, which is exact for their int/bool/str/enum
+    fields — no float formatting is involved — and is the same bytes a
+    list of those tuples hashed.
     """
     h = hashlib.sha256()
     for name in _LOG_FIELDS:
@@ -55,7 +60,7 @@ def event_log_digest(log) -> str:
     # Same-bank refresh windows are hashed only when present so every
     # all-bank (historic) fixture digest is unchanged by the field's
     # existence.
-    bank_refresh = getattr(log, "bank_refresh_windows", None)
+    bank_refresh = log.bank_refresh_windows
     if bank_refresh:
         h.update(b"bank_refresh_windows")
         _update_repr(h, bank_refresh)
@@ -63,20 +68,22 @@ def event_log_digest(log) -> str:
 
 
 def _update_repr(h, value) -> None:
-    """``h.update(repr(value).encode())``, streamed for lists.
+    """``h.update(repr(value).encode())``, streamed for timelines.
 
-    A list's repr is ``[`` + its items' reprs joined by ``", "`` +
-    ``]``; feeding it a chunk of items at a time hashes the same bytes
-    without building the whole string and its encoded copy.
+    A timeline's repr is a list's: ``[`` + its entries' reprs joined by
+    ``", "`` + ``]``. Feeding it a chunk of entries at a time hashes
+    the same bytes without building the whole string, its encoded copy
+    or a list of every entry.
     """
-    if type(value).__repr__ is not list.__repr__:
+    if not isinstance(value, Timeline):
         h.update(repr(value).encode())
         return
     h.update(b"[")
+    entries = iter(value)
     for start in range(0, len(value), _REPR_CHUNK):
         if start:
             h.update(b", ")
-        chunk = value[start:start + _REPR_CHUNK]
+        chunk = islice(entries, _REPR_CHUNK)
         h.update(", ".join(map(repr, chunk)).encode())
     h.update(b"]")
 

@@ -29,8 +29,14 @@ the number of DRAM commands, not in simulated cycles.
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import islice
 
-from repro.dram.controller import EventLog
+from repro.dram.components.accounting import (
+    REASON_CODE,
+    SCOPE_CODE,
+    EventLog,
+    Timeline,
+)
 from repro.dram.rank import BlockScope
 from repro.dram.timing import TimingSpec
 from repro.errors import AccountingError
@@ -55,16 +61,25 @@ BANDWIDTH_COMPONENTS = (
 )
 
 
-class _WindowCursor:
-    """Forward-moving coverage queries over a list of windows.
+#: Blocked-timeline codes the gap classification tests for (the fixed
+#: head of every blocked timeline's tables).
+_INFLIGHT = REASON_CODE["data_inflight"]
+_BANK = SCOPE_CODE[BlockScope.BANK]
+_BANK_GROUP = SCOPE_CODE[BlockScope.BANK_GROUP]
 
-    Each window is a tuple whose first two items are its ``[start,
-    end)``; any further items are its payload. Windows may overlap each
-    other; queries must be made with non-decreasing times. The list is
-    indexed in place when it is already ordered by ``(start, end)``, as
-    every controller's event log is (one linear check); otherwise the
-    cursor walks a sorted index order instead (offline or hand-built
-    logs). ``cover(t)`` returns whether any window contains t;
+
+class _WindowCursor:
+    """Forward-moving coverage queries over a timeline of windows.
+
+    Each window is an entry whose first two items are its ``[start,
+    end)``; any further items are its payload. A :class:`Timeline` is
+    queried through its start and end columns; a list of tuples works
+    too. Windows may overlap each other; queries must be made with
+    non-decreasing times. The windows are indexed in place when they
+    are already ordered by ``(start, end)``, as every controller's
+    event log is (one linear check); otherwise the cursor walks a
+    sorted index order instead (offline or hand-built logs).
+    ``cover(t)`` returns whether any window contains t;
     ``edges_in(lo, hi)`` returns window edges inside (lo, hi);
     ``covering_index(t)`` and ``covering_payload(t)`` name the window
     covering t with the smallest ``(start, end)`` (the last-listed one
@@ -73,24 +88,31 @@ class _WindowCursor:
 
     def __init__(self, windows) -> None:
         self._windows = windows
+        if isinstance(windows, Timeline):
+            starts, ends = windows.starts, windows.ends
+        else:
+            starts = [window[0] for window in windows]
+            ends = [window[1] for window in windows]
+        self._starts, self._ends = starts, ends
         self._order = (
-            range(len(windows)) if _in_order(windows)
-            else sorted(range(len(windows)),
-                        key=lambda i: (windows[i][0], windows[i][1]))
+            range(len(starts)) if _in_order(starts, ends)
+            else sorted(range(len(starts)),
+                        key=lambda i: (starts[i], ends[i]))
         )
         self._pos = 0
         # Indices of admitted windows, pruned lazily to end > position.
         self._active: list[int] = []
 
     def _advance(self, t: int) -> None:
-        windows, order, pos = self._windows, self._order, self._pos
+        starts, order, pos = self._starts, self._order, self._pos
         active = self._active
-        while pos < len(order) and windows[order[pos]][0] <= t:
+        while pos < len(order) and starts[order[pos]] <= t:
             active.append(order[pos])
             pos += 1
         self._pos = pos
         if active:
-            self._active = [i for i in active if windows[i][1] > t]
+            ends = self._ends
+            self._active = [i for i in active if ends[i] > t]
 
     def cover(self, t: int) -> bool:
         """Whether any window contains time t (non-decreasing t calls)."""
@@ -100,20 +122,20 @@ class _WindowCursor:
     def edges_in(self, lo: int, hi: int) -> list[int]:
         """Window start/end points strictly inside (lo, hi)."""
         self._advance(lo)
-        windows, order = self._windows, self._order
+        starts, ends, order = self._starts, self._ends, self._order
         edges = []
         # Every window starting after lo is still unadmitted.
         for pos in range(self._pos, len(order)):
-            window = windows[order[pos]]
-            start = window[0]
+            i = order[pos]
+            start = starts[i]
             if start >= hi:
                 break
             edges.append(start)
-            if lo < window[1] < hi:
-                edges.append(window[1])
+            if lo < ends[i] < hi:
+                edges.append(ends[i])
         # Ends of already-active windows.
         for i in self._active:
-            end = windows[i][1]
+            end = ends[i]
             if lo < end < hi:
                 edges.append(end)
         return edges
@@ -126,10 +148,10 @@ class _WindowCursor:
             return None
         first = active[0]
         if len(active) > 1:
-            windows = self._windows
-            start, end = windows[first][0], windows[first][1]
+            starts, ends = self._starts, self._ends
+            start, end = starts[first], ends[first]
             for i in active[1:]:
-                if windows[i][0] != start or windows[i][1] != end:
+                if starts[i] != start or ends[i] != end:
                     break
                 first = i
         return first
@@ -140,15 +162,26 @@ class _WindowCursor:
         return None if i is None else self._windows[i]
 
 
-def _in_order(windows) -> bool:
-    """Whether `windows` is non-decreasing by ``(start, end)``."""
+def _in_order(starts, ends) -> bool:
+    """Whether the windows are non-decreasing by ``(start, end)``."""
     prev_start = prev_end = -(1 << 62)
-    for window in windows:
-        start, end = window[0], window[1]
+    for start, end in zip(starts, ends):
         if start < prev_start or (start == prev_start and end < prev_end):
             return False
         prev_start, prev_end = start, end
     return True
+
+
+def in_start_order(timeline) -> bool:
+    """Whether `timeline`'s entries start strictly in order.
+
+    Index order is then ``sorted()`` order, so a reader can walk the
+    timeline instead of sorting a list of its entries. A controller's
+    bursts always do (the data bus serializes them); offline and
+    hand-built logs may not.
+    """
+    starts = timeline.starts
+    return all(map(int.__lt__, starts, islice(starts, 1, None)))
 
 
 class BandwidthStackAccountant:
@@ -220,11 +253,13 @@ class BandwidthStackAccountant:
                     s = seg_end
 
         # --- 1. Data bursts -------------------------------------------
-        # Entries are (start, end, is_write[, core_id]); hand-built logs
-        # may omit the core.
-        bursts = sorted(log.bursts)
+        # Entries are (start, end, is_write[, core_id]); offline logs
+        # omit the core.
         prev_end = 0
         gaps: list[tuple[int, int]] = []
+        bursts = log.bursts
+        if not in_start_order(bursts):
+            bursts = sorted(bursts)
         for start, end, is_write, *__ in bursts:
             if start < prev_end:
                 message = f"overlapping data bursts at cycle {start}"
@@ -245,6 +280,7 @@ class BandwidthStackAccountant:
         # --- 2. Gap classification ------------------------------------
         refresh = _WindowCursor(log.refresh_windows)
         blocked = _WindowCursor(log.blocked)
+        blocked_codes = log.blocked.columns[2:]
         bpg = self.spec.organization.banks_per_group
 
         # Per-bank pre/act/cas coverage is computed with one global,
@@ -263,7 +299,7 @@ class BandwidthStackAccountant:
             (log.pre_windows, 0),
             (log.act_windows, 1),
             (log.cas_windows, 2),
-            (getattr(log, "bank_refresh_windows", ()), 3),
+            (log.bank_refresh_windows, 3),
         ):
             # `bank % n` matches the list indexing the per-bank cursors
             # historically used: offline-reconstructed logs record
@@ -321,7 +357,7 @@ class BandwidthStackAccountant:
                         tallies[old] -= 1
                         tallies[state] += 1
                 self._classify_segment(
-                    s, e, refresh, blocked,
+                    s, e, refresh, blocked, blocked_codes,
                     tallies[1], tallies[2], tallies[3], tallies[4], bpg, add,
                 )
 
@@ -344,8 +380,8 @@ class BandwidthStackAccountant:
 
     def _classify_segment(
         self, s: int, e: int, refresh: _WindowCursor, blocked: _WindowCursor,
-        n_pre: int, n_act: int, n_cas: int, n_ref: int,
-        banks_per_group: int, add,
+        blocked_codes: tuple, n_pre: int, n_act: int, n_cas: int,
+        n_ref: int, banks_per_group: int, add,
     ) -> None:
         """Attribute one channel-idle segment [s, e).
 
@@ -355,6 +391,8 @@ class BandwidthStackAccountant:
         priority already applied by the caller's event sweep. A
         channel-wide (all-bank) refresh window still takes the whole
         segment; per-bank refresh takes only its bank's 1/n share.
+        `blocked_codes` are the blocked timeline's scope, bank-group
+        and reason columns.
         """
         n = self.num_banks
         if refresh.cover(s):
@@ -367,18 +405,18 @@ class BandwidthStackAccountant:
             add("constraints", s, e, n_cas)
             add("bank_idle", s, e, n - n_ref - n_pre - n_act - n_cas)
             return
-        window = blocked.covering_payload(s)
-        if window is not None:
-            __, __, scope, __, reason = window
-            if reason == "data_inflight":
+        i = blocked.covering_index(s)
+        if i is not None:
+            scope = blocked_codes[0][i]
+            if blocked_codes[2][i] == _INFLIGHT:
                 # Data is on its way but nothing is waiting to issue:
                 # more requests could have used these cycles -> idle
                 # (the paper: "the DRAM chip is completely idle").
                 add("idle", s, e, n)
-            elif scope is BlockScope.BANK_GROUP:
+            elif scope == _BANK_GROUP:
                 add("constraints", s, e, banks_per_group)
                 add("bank_idle", s, e, n - banks_per_group)
-            elif scope is BlockScope.BANK:
+            elif scope == _BANK:
                 add("constraints", s, e, 1)
                 add("bank_idle", s, e, n - 1)
             else:  # RANK / CHANNEL: nothing could issue anywhere.

@@ -73,12 +73,9 @@ class EnergyAccountant:
         if total_cycles <= 0:
             raise AccountingError("total_cycles must be positive")
         model = self.model
-        reads = writes = 0
-        for entry in log.bursts:
-            if entry[2]:
-                writes += 1
-            else:
-                reads += 1
+        bursts = log.bursts
+        writes = sum(1 for entry in bursts if entry[2])
+        reads = len(bursts) - writes
         # Activate windows are logged once per ACT; every ACT implies a
         # PRE eventually, so count pairs from the ACT side.
         act_pairs = len(log.act_windows)
@@ -116,10 +113,7 @@ class EnergyAccountant:
     ) -> float:
         """Picojoules per transferred data bit (a common DRAM metric)."""
         energy = self.account(log, total_cycles)
-        bits = 0
-        line_bits = self.spec.organization.line_bytes * 8
-        for entry in log.bursts:
-            bits += line_bits
+        bits = len(log.bursts) * self.spec.organization.line_bytes * 8
         if bits == 0:
             raise AccountingError("no data transferred")
         return energy.total * 1e6 / bits  # uJ -> pJ

@@ -17,13 +17,19 @@ def total_length(intervals: list[Interval]) -> int:
     return sum(e - s for s, e in intervals)
 
 
-def clip(intervals: list[Interval], lo: int, hi: int) -> list[Interval]:
+def clip(intervals, lo: int, hi: int) -> list[Interval]:
     """Intervals intersected with [lo, hi).
 
-    `intervals` must be sorted and disjoint; binary search makes this
-    O(log n + k) in the number of overlapping intervals k.
+    `intervals` must be sorted and disjoint: a list of pairs, or a
+    two-column event-log timeline (searched on its start and end
+    columns). Binary search makes this O(log n + k) in the number of
+    overlapping intervals k.
     """
-    if lo >= hi or not intervals:
+    if lo >= hi:
+        return []
+    if type(intervals) is not list:
+        return _clip_columns(intervals.starts, intervals.ends, lo, hi)
+    if not intervals:
         return []
     # First interval whose end might exceed lo.
     i = bisect_left(intervals, (lo, lo)) if intervals else 0
@@ -36,6 +42,28 @@ def clip(intervals: list[Interval], lo: int, hi: int) -> list[Interval]:
         if s < e:
             result.append((s, e))
         i += 1
+    return result
+
+
+def _clip_columns(starts, ends, lo: int, hi: int) -> list[Interval]:
+    """:func:`clip` of the intervals ``zip(starts, ends)``."""
+    # Sorted disjoint intervals order by start, so the first one at or
+    # after (lo, lo) is the first starting at or after lo.
+    i = bisect_left(starts, lo)
+    if i > 0 and ends[i - 1] > lo:
+        i -= 1
+    result = []
+    for i in range(i, len(starts)):
+        s = starts[i]
+        if s >= hi:
+            break
+        e = ends[i]
+        if s < lo:
+            s = lo
+        if e > hi:
+            e = hi
+        if s < e:
+            result.append((s, e))
     return result
 
 

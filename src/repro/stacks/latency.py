@@ -23,6 +23,8 @@ or lost.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from repro.dram.commands import Request
 from repro.dram.timing import TimingSpec
 from repro.errors import AccountingError
@@ -256,12 +258,10 @@ def refresh_windows_for_latency(log) -> list[tuple[int, int]]:
     all-bank model makes, and the residual ``queue`` component keeps
     each read's decomposition exact either way.
     """
-    bank = getattr(log, "bank_refresh_windows", None)
+    bank = log.bank_refresh_windows
     if not bank:
         return log.refresh_windows
-    merged = sorted(
-        list(log.refresh_windows) + [(s, e) for s, e, __ in bank]
-    )
+    merged = sorted(chain(log.refresh_windows, zip(bank.starts, bank.ends)))
     out: list[tuple[int, int]] = []
     for s, e in merged:
         if out and s <= out[-1][1]:

@@ -2,8 +2,10 @@
 
 The aggregate accountants attribute every channel cycle to a
 *component*; this module additionally attributes it to the *requester*
-that caused it, using the owner sidecars the controller records next to
-its event log (:class:`~repro.dram.components.accounting.EventLog`).
+that caused it, using the owner columns the controller records beside
+the timelines of its event log
+(:class:`~repro.dram.components.accounting.EventLog`): entry i of
+``burst_owners`` names the requester of burst i, and so on.
 
 The bandwidth decomposition partitions exactly the same integer units
 (1/n_banks of a cycle) as
@@ -13,8 +15,8 @@ the channel stack *by construction*:
 
 * data bursts           -> the owning requester's ``read``/``write``;
 * precharge/activate    -> the requester whose request triggered the
-  command (refresh-driven precharges have no owner sidecar and land on
-  the shared row);
+  command (refresh-driven precharges carry owner -1 and land on the
+  shared row);
 * CAS-in-flight banks   -> the CAS owner's ``constraints``;
 * blocked waiting       -> the victim requester: ``interference`` when
   the binding constraint was last touched by a *different* requester,
@@ -34,23 +36,30 @@ queueing intervals (arrival to CAS, minus refresh/drain/own-pre-act)
 that were covered by *other* requesters' data bursts. The per-read
 components still sum exactly to the measured latency.
 
-This is deliberately a straightforward per-bank walk, not the packed
-fast path of the aggregate accountant: per-requester stacks are built
-for QoS analyses at figure/test scale, never inside the simulation hot
-loop.
+The bandwidth decomposition runs the aggregate accountant's packed-int
+event sweep, with each window's index in its timeline in the low bits
+of its events, so a start event reads the window's owner straight from
+its owner column. Only segments with a precharging or activating bank
+walk the banks one by one, to route each bank's share to its owner.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import compress
 
-from repro.dram.components.accounting import EventLog
+from repro.dram.components.accounting import EventLog, Timeline
 from repro.dram.commands import Request
-from repro.dram.rank import BlockScope
 from repro.dram.timing import TimingSpec
 from repro.errors import AccountingError
 from repro.stacks import intervals as iv
-from repro.stacks.bandwidth import _WindowCursor
+from repro.stacks.bandwidth import (
+    _BANK,
+    _BANK_GROUP,
+    _INFLIGHT,
+    _WindowCursor,
+    in_start_order,
+)
 from repro.stacks.components import Stack, ordered_stack, paused_gc
 from repro.stacks.latency import LatencyStackAccountant
 
@@ -139,15 +148,10 @@ class RequesterBandwidthAccountant:
                 row[component] += (e - s) * weight
 
         # --- 1. Data bursts (owner-routed) ----------------------------
-        burst_owners = log.burst_owners
-        owned_bursts = sorted(
-            (
-                tuple(entry),
-                burst_owners[i] if i < len(burst_owners) else
-                SHARED_REQUESTER,
-            )
-            for i, entry in enumerate(log.bursts)
-        )
+        bursts = log.bursts
+        owned_bursts = zip(bursts, log.burst_owners)
+        if not in_start_order(bursts):
+            owned_bursts = sorted(owned_bursts)
         prev_end = 0
         gaps: list[tuple[int, int]] = []
         for entry, owner in owned_bursts:
@@ -166,40 +170,26 @@ class RequesterBandwidthAccountant:
         # --- 2. Gap classification (same segmentation as aggregate) ---
         refresh = _WindowCursor(log.refresh_windows)
         blocked = _WindowCursor(log.blocked)
+        blocked_codes = log.blocked.columns[2:]
         bpg = self.spec.organization.banks_per_group
 
         # Same packed-int event sweep as the aggregate accountant, with
-        # a per-slot owner recorded at each window start. (start, bank,
-        # kind) identifies a window uniquely — a bank cannot have two
-        # same-kind commands in flight from the same cycle — so the
-        # start code is a valid owner key.
-        pre_owner = {
-            (s, e, b): rq for s, e, b, rq in log.pre_owner_windows
-        }
-        act_owner = {
-            (s, e, b): rq for s, e, b, rq in log.act_owner_windows
-        }
-        cas_owners = log.cas_owners
+        # the window's index in its timeline in the low bits: a start
+        # event records the window's owner (its owner column entry) as
+        # its slot's owner.
+        windows_by_kind = (log.pre_windows, log.act_windows, log.cas_windows)
+        owners_by_kind = (log.pre_owners, log.act_owners, log.cas_owners)
         shift = (6 * n).bit_length()
+        ibits = max(map(len, windows_by_kind)).bit_length()
+        imask = (1 << ibits) - 1
+        tshift = shift + ibits
         events: list[int] = []
-        owner_of_code: dict[int, int] = {}
         append = events.append
-        for kind, windows, owner_for in (
-            (0, log.pre_windows,
-             lambda i, w: pre_owner.get(w, SHARED_REQUESTER)),
-            (1, log.act_windows,
-             lambda i, w: act_owner.get(w, SHARED_REQUESTER)),
-            (2, log.cas_windows,
-             lambda i, w: cas_owners[i]
-             if i < len(cas_owners) else SHARED_REQUESTER),
-        ):
-            for i, window in enumerate(windows):
-                s, e, bank = window
+        for kind, windows in enumerate(windows_by_kind):
+            for i, (s, e, bank) in enumerate(windows):
                 slot2 = ((bank % n) * 3 + kind) << 1
-                code = (s << shift) | slot2 | 1
-                append(code)
-                append((e << shift) | slot2)
-                owner_of_code[code] = owner_for(i, window)
+                append((((s << shift) | slot2 | 1) << ibits) | i)
+                append((((e << shift) | slot2) << ibits) | i)
         events.sort()
         num_events = len(events)
         counts = [0] * (3 * n)
@@ -214,24 +204,25 @@ class RequesterBandwidthAccountant:
             edges = {gap_start, gap_end}
             edges.update(refresh.edges_in(gap_start, gap_end))
             edges.update(blocked.edges_in(gap_start, gap_end))
-            lo = bisect_left(events, (gap_start + 1) << shift)
-            hi = bisect_left(events, gap_end << shift)
+            lo = bisect_left(events, (gap_start + 1) << tshift)
+            hi = bisect_left(events, gap_end << tshift)
             if lo < hi:
-                edges.update(code >> shift for code in events[lo:hi])
+                edges.update(code >> tshift for code in events[lo:hi])
             points = sorted(edges)
             for s, e in zip(points, points[1:]):
-                limit = (s + 1) << shift
+                limit = (s + 1) << tshift
                 while ptr < num_events:
                     code = events[ptr]
                     if code >= limit:
                         break
                     ptr += 1
-                    slot = (code >> 1) & ((1 << (shift - 1)) - 1)
-                    if code & 1:
+                    flagged = code >> ibits
+                    slot = (flagged >> 1) & ((1 << (shift - 1)) - 1)
+                    if flagged & 1:
                         counts[slot] += 1
-                        slot_owner[slot] = owner_of_code.get(
-                            code, SHARED_REQUESTER
-                        )
+                        slot_owner[slot] = owners_by_kind[slot % 3][
+                            code & imask
+                        ]
                     else:
                         counts[slot] -= 1
                     bank = slot // 3
@@ -250,8 +241,9 @@ class RequesterBandwidthAccountant:
                         tallies[old] -= 1
                         tallies[state] += 1
                 self._classify_segment(
-                    s, e, refresh, blocked, log, bank_state, slot_owner,
-                    tallies, bpg, add,
+                    s, e, refresh, blocked, blocked_codes,
+                    log.blocked_owners, bank_state, slot_owner, tallies,
+                    bpg, add,
                 )
 
         # --- 3. Exactness check ---------------------------------------
@@ -265,15 +257,16 @@ class RequesterBandwidthAccountant:
 
     def _classify_segment(
         self, s: int, e: int, refresh: _WindowCursor,
-        blocked: _WindowCursor, log: EventLog, bank_state: list[int],
-        slot_owner: list[int], tallies: list[int], banks_per_group: int,
-        add,
+        blocked: _WindowCursor, blocked_codes: tuple, blocked_owners,
+        bank_state: list[int], slot_owner: list[int], tallies: list[int],
+        banks_per_group: int, add,
     ) -> None:
         """Attribute one channel-idle segment [s, e) to requesters.
 
         Mirrors the aggregate ``_classify_segment`` decision tree
         exactly — same conditions, same weights — routing each unit to
-        its owning requester (or the shared row).
+        its owning requester (or the shared row). `blocked_codes` are
+        the blocked timeline's scope, bank-group and reason columns.
         """
         n = self.num_banks
         if refresh.cover(s):
@@ -298,21 +291,18 @@ class RequesterBandwidthAccountant:
             return
         i = blocked.covering_index(s)
         if i is not None:
-            __, __, scope, __, reason = log.blocked[i]
-            owners = log.blocked_owners
-            victim, inter = (
-                owners[i] if i < len(owners) else (SHARED_REQUESTER, False)
-            )
+            scope = blocked_codes[0][i]
+            victim, inter = divmod(blocked_owners[i], 2)
             component = "interference" if inter else "constraints"
-            if reason == "data_inflight":
+            if blocked_codes[2][i] == _INFLIGHT:
                 add(SHARED_REQUESTER, "idle", s, e, n)
-            elif scope is BlockScope.BANK_GROUP:
+            elif scope == _BANK_GROUP:
                 add(victim, component, s, e, banks_per_group)
                 add(
                     SHARED_REQUESTER, "bank_idle", s, e,
                     n - banks_per_group,
                 )
-            elif scope is BlockScope.BANK:
+            elif scope == _BANK:
                 add(victim, component, s, e, 1)
                 add(SHARED_REQUESTER, "bank_idle", s, e, n - 1)
             else:  # RANK / CHANNEL
@@ -376,7 +366,7 @@ class RequesterLatencyAccountant:
         request: Request,
         refresh_windows: list[tuple[int, int]],
         drain_windows: list[tuple[int, int]],
-        other_bursts: list[tuple[int, int]],
+        other_bursts,
     ) -> dict[str, float]:
         """Per-read components with the queue/interference split.
 
@@ -441,24 +431,28 @@ class RequesterLatencyAccountant:
                 and (self.include_prefetch or not request.is_prefetch)
             ):
                 reads.setdefault(request.requester_id, []).append(request)
-        burst_owners = log.burst_owners
-        bursts_by_owner: dict[int, list[tuple[int, int]]] = {}
-        for i, entry in enumerate(log.bursts):
-            owner = (
-                burst_owners[i] if i < len(burst_owners)
-                else SHARED_REQUESTER
+        # Other requesters' bursts, per requester, as (start, end)
+        # columns in time order.
+        bursts = log.bursts
+        starts, ends = bursts.starts, bursts.ends
+        owners = log.burst_owners
+        if not in_start_order(bursts):
+            order = sorted(
+                range(len(bursts)), key=lambda i: (starts[i], ends[i])
             )
-            bursts_by_owner.setdefault(owner, []).append(
-                (entry[0], entry[1])
+            starts, ends, owners = (
+                [column[i] for i in order]
+                for column in (starts, ends, owners)
             )
         stacks: dict[int, Stack] = {}
         for requester in sorted(reads):
-            other = sorted(
-                window
-                for owner, windows in bursts_by_owner.items()
-                if owner != requester and owner != SHARED_REQUESTER
-                for window in windows
-            )
+            foreign = [
+                owner != requester and owner != SHARED_REQUESTER
+                for owner in owners
+            ]
+            other = Timeline()
+            other.starts.extend(compress(starts, foreign))
+            other.ends.extend(compress(ends, foreign))
             sums = dict.fromkeys(REQUESTER_LATENCY_COMPONENTS, 0.0)
             group = reads[requester]
             for request in group:

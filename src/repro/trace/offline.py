@@ -14,6 +14,7 @@ other components are reconstructed exactly.
 
 from __future__ import annotations
 
+from repro.devices import DEVICES
 from repro.dram.controller import EventLog, MemoryController
 from repro.dram.commands import CommandType
 from repro.dram.rank import BlockScope
@@ -23,10 +24,6 @@ from repro.stacks import intervals as iv
 from repro.stacks.bandwidth import BandwidthStackAccountant
 from repro.stacks.components import Stack
 from repro.trace.events import CommandRecord, RequestRecord, TraceFile
-
-_KNOWN_SPECS = {
-    spec.name: spec for spec in (DDR4_2400, DDR4_3200, DDR5_4800)
-}
 
 _CMD_NAMES = {
     CommandType.ACTIVATE: "ACT",
@@ -39,12 +36,21 @@ _CMD_NAMES = {
 
 
 def spec_by_name(name: str) -> TimingSpec:
-    """Look up a timing spec referenced by a trace header."""
-    if name not in _KNOWN_SPECS:
+    """Look up a timing spec referenced by a trace header.
+
+    Knows the per-channel spec of every registered device preset (a
+    trace holds one channel) and the bare timing specs a controller
+    may be configured with directly.
+    """
+    known = {spec.name: spec for spec in (DDR4_2400, DDR4_3200, DDR5_4800)}
+    for device in DEVICES.names():
+        spec = DEVICES.create(device).spec
+        known[spec.name] = spec
+    if name not in known:
         raise TraceFormatError(
-            f"unknown spec {name!r}; known: {sorted(_KNOWN_SPECS)}"
+            f"unknown spec {name!r}; known: {sorted(known)}"
         )
-    return _KNOWN_SPECS[name]
+    return known[name]
 
 
 def capture_trace(controller: MemoryController) -> TraceFile:
@@ -87,27 +93,38 @@ def capture_trace(controller: MemoryController) -> TraceFile:
 def event_log_from_trace(
     trace: TraceFile, spec: TimingSpec | None = None
 ) -> EventLog:
-    """Rebuild the channel event log from a command trace."""
+    """Rebuild the channel event log from a command trace.
+
+    The trace names no requesters, so every window's owner is the
+    shared row, and its bursts carry no core: ``(start, end,
+    is_write)``.
+    """
     spec = spec or spec_by_name(trace.spec_name)
     bpg = spec.organization.banks_per_group
-    log = EventLog()
+    tRFCsb = spec.tRFCsb if spec.tRFCsb > 0 else max(1, spec.tRFC // 2)
+    bursts, pre, act, cas = [], [], [], []
+    refresh, bank_refresh = [], []
     serve_time: dict[int, int] = {}
 
     for cmd in trace.commands:
         flat = cmd.bank_group * bpg + cmd.bank
         if cmd.name == "ACT":
-            log.act_windows.append((cmd.issue, cmd.issue + spec.tRCD, flat))
+            act.append((cmd.issue, cmd.issue + spec.tRCD, flat))
         elif cmd.name in ("PRE", "PREA"):
-            log.pre_windows.append((cmd.issue, cmd.issue + spec.tRP, flat))
+            pre.append((cmd.issue, cmd.issue + spec.tRP, flat))
         elif cmd.name == "REF":
-            log.refresh_windows.append((cmd.issue, cmd.issue + spec.tRFC))
+            # bank_group >= 0 marks a same-bank refresh (REFsb/REFpb).
+            if cmd.bank_group >= 0:
+                bank_refresh.append((cmd.issue, cmd.issue + tRFCsb, flat))
+            else:
+                refresh.append((cmd.issue, cmd.issue + spec.tRFC))
         elif cmd.name in ("RD", "WR"):
             is_write = cmd.name == "WR"
             lead = spec.tCWL if is_write else spec.tCL
             start = cmd.issue + lead
             end = start + spec.burst_cycles
-            log.bursts.append((start, end, is_write))
-            log.cas_windows.append((cmd.issue, end, flat))
+            bursts.append((start, end, is_write))
+            cas.append((cmd.issue, end, flat))
             if cmd.req_id >= 0:
                 serve_time[cmd.req_id] = cmd.issue
         else:
@@ -121,12 +138,18 @@ def event_log_from_trace(
         if served is not None and served > request.arrival:
             pending.append((request.arrival, served))
     pending.sort()
-    merged = iv.union(pending, [])
-    for start, end in merged:
-        log.blocked.append(
+    return EventLog(
+        bursts=bursts,
+        pre_windows=pre,
+        act_windows=act,
+        cas_windows=cas,
+        refresh_windows=refresh,
+        bank_refresh_windows=bank_refresh,
+        blocked=[
             (start, end, BlockScope.RANK, -1, "offline_pending")
-        )
-    return log
+            for start, end in iv.union(pending, [])
+        ],
+    )
 
 
 def offline_bandwidth_stack(

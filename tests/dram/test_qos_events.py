@@ -20,7 +20,6 @@ from repro.core.events import (
     RequesterStalled,
 )
 from repro.dram import ControllerConfig, MemoryController, Request, RequestType
-from repro.dram.components.accounting import blocked_owner
 from repro.dram.timing import DDR4_2400
 from repro.viz.live import LiveUtilizationMeter
 from tests.conftest import run_stream
@@ -107,12 +106,13 @@ class TestRequesterIdOnBus:
             for i in range(16) for r in (0, 1)
         ]
         run_stream(ctrl, requests)
-        logged = {
-            (start, scope, reason): victim
-            for (start, __, scope, ___, reason), (victim, inter)
-            in zip(ctrl.log.blocked, ctrl.log.blocked_owners)
-            if inter
-        }
+        logged = {}
+        for (start, __, scope, ___, reason), code in zip(
+            ctrl.log.blocked, ctrl.log.blocked_owners
+        ):
+            victim, inter = divmod(code, 2)  # code = victim * 2 + inter
+            if inter:
+                logged[(start, scope, reason)] = victim
         assert stalls
         for event in stalls:
             key = next(
@@ -124,11 +124,12 @@ class TestRequesterIdOnBus:
             assert logged[key] == event.requester_id
 
 
-class TestBlockedOwnersShared:
+class TestBlockedOwnerCodes:
     @pytest.mark.parametrize("engine", ["packed", "reference"])
-    def test_owner_entries_are_shared_tuples(self, engine):
-        """Every blocked window's owner is the one shared tuple for its
-        value, on the packed loop and on the object path alike."""
+    def test_owner_codes_name_victim_and_interference(self, engine):
+        """Every blocked window's owner is one small int, ``victim * 2 +
+        inter``, on the packed loop and on the object path alike; a
+        pipeline drain blocks nobody in particular (victim -1)."""
         ctrl = MemoryController(
             ControllerConfig(spec=DDR4_2400, engine=engine)
         )
@@ -141,9 +142,15 @@ class TestBlockedOwnersShared:
         ]
         run_stream(ctrl, requests)
         owners = ctrl.log.blocked_owners
-        assert {inter for __, inter in owners} == {False, True}
-        for owner in owners:
-            assert owner is blocked_owner(*owner)
+        assert len(owners) == len(ctrl.log.blocked)
+        decoded = [divmod(code, 2) for code in owners]
+        assert {inter for __, inter in decoded} == {0, 1}
+        assert {victim for victim, __ in decoded} <= {-1, 0, 1}
+        for (__, __, __, __, reason), (victim, inter) in zip(
+            ctrl.log.blocked, decoded
+        ):
+            if reason == "data_inflight":
+                assert (victim, inter) == (-1, 0)
 
 
 class TestExistingSubscribersSurvive:

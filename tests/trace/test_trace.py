@@ -4,10 +4,14 @@ import io
 
 import pytest
 
+from repro.devices import DEVICES
 from repro.dram import ControllerConfig, MemoryController, Request, RequestType
 from repro.dram.timing import DDR4_2400
 from repro.errors import TraceFormatError
-from repro.stacks.bandwidth import bandwidth_stack_from_log
+from repro.stacks.bandwidth import (
+    BandwidthStackAccountant,
+    bandwidth_stack_from_log,
+)
 from repro.trace.events import CommandRecord, RequestRecord, TraceFile
 from repro.trace.io import read_trace, write_trace
 from repro.trace.offline import (
@@ -18,11 +22,14 @@ from repro.trace.offline import (
 )
 
 
-def run_recorded(requests=500, write_every=4):
-    mc = MemoryController(ControllerConfig(keep_command_trace=True))
+def run_recorded(requests=500, write_every=4, device=None, stride=64,
+                 gap=7):
+    mc = MemoryController(
+        ControllerConfig(keep_command_trace=True, device=device)
+    )
     for i in range(requests):
         kind = RequestType.WRITE if i % write_every == 0 else RequestType.READ
-        mc.enqueue(Request(kind, (i * 64) % (1 << 24), arrival=i * 7))
+        mc.enqueue(Request(kind, (i * stride) % (1 << 24), arrival=i * gap))
     mc.drain()
     mc.finalize()
     return mc
@@ -172,3 +179,34 @@ class TestCorruptedRoundTrip:
     def test_intact_trace_still_round_trips(self):
         reread = read_trace(self.lines())
         assert reread.requests and reread.commands
+
+
+class TestEveryDevicePreset:
+    @pytest.mark.parametrize("device", DEVICES.names())
+    def test_trace_replays_to_a_conserving_stack(self, device):
+        """A trace captured on one channel of any registered preset names
+        a spec the offline path resolves, and replays to a stack that
+        conserves every cycle and matches the online read, write and
+        refresh components (same-bank refresh replayed per bank)."""
+        mc = run_recorded(device=device, stride=4160, gap=25)
+        assert mc.log.refresh_windows or mc.log.bank_refresh_windows
+        buffer = io.StringIO()
+        write_trace(capture_trace(mc), buffer)
+        trace = read_trace(io.StringIO(buffer.getvalue()))
+        assert spec_by_name(trace.spec_name) == mc.spec
+
+        rebuilt = event_log_from_trace(trace)
+        counters = BandwidthStackAccountant(mc.spec).account_cycles(
+            rebuilt, trace.total_cycles
+        )[0]
+        assert sum(counters.values()) == (
+            mc.spec.organization.total_banks * trace.total_cycles
+        )
+        offline = offline_bandwidth_stack(trace)
+        offline.check_total(mc.spec.peak_bandwidth_gbps)
+        online = bandwidth_stack_from_log(mc.log, mc.now, mc.spec)
+        assert offline["read"] == pytest.approx(online["read"], rel=1e-9)
+        assert offline["write"] == pytest.approx(online["write"], rel=1e-9)
+        assert offline["refresh"] == pytest.approx(
+            online["refresh"], rel=1e-9
+        )
