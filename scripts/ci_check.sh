@@ -65,10 +65,11 @@ timeout --signal=KILL "$CHAOS_TIMEOUT" \
     python scripts/chaos_smoke.py
 
 echo "== QoS smoke (timeout ${QOS_TIMEOUT}s) =="
-# Tiny 2-requester WRR run: exact per-requester conservation, latency
-# fairness within tolerance, and a bit-identical rerun digest. The
-# full fairness/differential matrix is tests/dram/test_qos_properties.py
-# and tests/golden/test_qos_golden.py (engine-parity cells are 'slow').
+# Tiny 2-requester WRR run: exact per-requester conservation (also on
+# a same-bank-refresh LPDDR5 run), latency fairness within tolerance,
+# and a bit-identical rerun digest. The full fairness/differential
+# matrix is tests/dram/test_qos_properties.py and
+# tests/golden/test_qos_golden.py (engine-parity cells are 'slow').
 timeout --signal=KILL "$QOS_TIMEOUT" \
     python scripts/qos_smoke.py
 

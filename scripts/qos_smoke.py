@@ -12,7 +12,10 @@ equal-weight WRR and gates on:
 
 * **conservation** — the per-requester integer cycle counters fold back
   to the aggregate channel stack exactly (the accountants raise on any
-  exactness violation; this script additionally re-checks the fold);
+  exactness violation; this script additionally re-checks the fold),
+  on the QoS scenario and on a 2-requester run of a same-bank-refresh
+  device (LPDDR5-6400, whose per-bank refresh belongs to the shared
+  row);
 * **fairness** — the per-requester average read latencies are within a
   generous tolerance of each other. WRR equalizes *service*, so under
   symmetric contention neither domain's reads may wait wildly longer
@@ -50,26 +53,42 @@ def smoke_scale():
     )
 
 
-def main() -> int:
-    from repro.experiments.runner import run_qos
-    from repro.reliability.fingerprint import qos_fingerprint
+def conservation_problem(result, name: str) -> str | None:
+    """Why `result`'s per-requester rows do not fold to its aggregate."""
     from repro.stacks.bandwidth import BandwidthStackAccountant
     from repro.stacks.requester import fold_interference
 
-    scale = smoke_scale()
-    result = run_qos(scheduling="wrr", scale=scale, guard=False)
-
-    # Gate 1: exact conservation at the system level.
     rows = result.per_requester_bandwidth_cycles()
     aggregate = BandwidthStackAccountant(result.spec).account_cycles(
         result.memory.log, result.total_cycles
     )[0]
     if fold_interference(rows) != aggregate:
-        print("qos_smoke: FAIL — per-requester counters do not fold "
-              "back to the aggregate channel stack")
-        return 1
-    print(f"qos_smoke: conservation OK over {result.total_cycles} cycles, "
-          f"requesters {sorted(rows)}")
+        return (f"{name}: per-requester counters do not fold back to the "
+                f"aggregate channel stack")
+    print(f"qos_smoke: conservation OK on {name} over "
+          f"{result.total_cycles} cycles, requesters {sorted(rows)}")
+    return None
+
+
+def main() -> int:
+    from repro.experiments.runner import run_qos, run_synthetic
+    from repro.reliability.fingerprint import qos_fingerprint
+
+    scale = smoke_scale()
+    result = run_qos(scheduling="wrr", scale=scale, guard=False)
+    same_bank = run_synthetic(
+        "random", cores=2, store_fraction=0.2, requesters=2,
+        scheduling="wrr", device="lpddr5-6400", scale=scale, guard=False,
+    )
+
+    # Gate 1: exact conservation at the system level.
+    for checked, name in (
+        (result, "qos wrr"), (same_bank, "lpddr5-6400 wrr"),
+    ):
+        problem = conservation_problem(checked, name)
+        if problem:
+            print(f"qos_smoke: FAIL — {problem}")
+            return 1
 
     # Gate 2: fairness — neither domain starved of latency.
     latency = result.per_requester_latency_stacks()

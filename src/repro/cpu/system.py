@@ -36,10 +36,6 @@ from repro.stacks.latency import (
     LatencyStackAccountant,
     refresh_windows_for_latency,
 )
-from repro.stacks.requester import (
-    RequesterBandwidthAccountant,
-    RequesterLatencyAccountant,
-)
 
 
 @dataclass(frozen=True)
@@ -615,24 +611,24 @@ class SimulationResult:
         memories are not split per requester yet.
         """
         self._require_single_channel("per_requester_bandwidth_stacks")
-        acct = RequesterBandwidthAccountant(self.spec)
-        return acct.account(self.memory.log, self.total_cycles, label)
+        acct = BandwidthStackAccountant(self.spec)
+        return acct.account_requesters(
+            self.memory.log, self.total_cycles, label
+        )
 
     def per_requester_bandwidth_cycles(self) -> dict[int, dict[str, int]]:
         """Raw per-requester integer cycle counters (conservation tests)."""
         self._require_single_channel("per_requester_bandwidth_cycles")
-        acct = RequesterBandwidthAccountant(self.spec)
-        return acct.account_cycles(self.memory.log, self.total_cycles)
+        acct = BandwidthStackAccountant(self.spec)
+        return acct.requester_cycles(self.memory.log, self.total_cycles)
 
     def per_requester_latency_stacks(
         self, label: str = ""
     ) -> dict[int, Stack]:
         """Per-requester latency stacks with interference (ns)."""
         self._require_single_channel("per_requester_latency_stacks")
-        acct = RequesterLatencyAccountant(
-            self.spec, self.base_controller_cycles
-        )
-        return acct.account(
+        acct = LatencyStackAccountant(self.spec, self.base_controller_cycles)
+        return acct.account_requesters(
             self.memory.completed_requests, self.memory.log, label
         )
 

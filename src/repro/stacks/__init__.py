@@ -9,9 +9,9 @@
   used alongside the memory stacks (Fig. 7).
 * :mod:`repro.stacks.extrapolation` — naive and stack-based bandwidth
   extrapolation across core counts (Sec. VIII-B).
-* :mod:`repro.stacks.requester` — per-requester bandwidth/latency
-  stacks with an explicit interference component (multi-requester QoS
-  runs; see docs/qos.md).
+* :mod:`repro.stacks.requester` — the per-requester rows both
+  accountants route their units into, with an explicit interference
+  component (multi-requester QoS runs; see docs/qos.md).
 """
 
 from repro.stacks.bandwidth import (
@@ -41,8 +41,6 @@ from repro.stacks.requester import (
     REQUESTER_BANDWIDTH_COMPONENTS,
     REQUESTER_LATENCY_COMPONENTS,
     SHARED_REQUESTER,
-    RequesterBandwidthAccountant,
-    RequesterLatencyAccountant,
     fold_interference,
 )
 
@@ -59,8 +57,6 @@ __all__ = [
     "LatencyStackAccountant",
     "REQUESTER_BANDWIDTH_COMPONENTS",
     "REQUESTER_LATENCY_COMPONENTS",
-    "RequesterBandwidthAccountant",
-    "RequesterLatencyAccountant",
     "SHARED_REQUESTER",
     "Stack",
     "StackSeries",

@@ -6,8 +6,9 @@ paper's hierarchical priority:
 
 1. data on the bus                      -> ``read`` / ``write``
 2. refresh in progress                  -> ``refresh``
-3. >= 1 bank precharging or activating  -> the segment is split 1/n per
-   bank; precharging banks feed ``precharge``, activating banks
+3. >= 1 bank precharging, activating or in per-bank refresh -> the
+   segment is split 1/n per bank; per-bank-refreshing banks feed
+   ``refresh``, precharging banks ``precharge``, activating banks
    ``activate``, banks with a CAS in flight ``constraints``, and idle
    banks ``bank_idle``
 4. a *waiting* request blocked by a timing constraint -> ``constraints``;
@@ -23,13 +24,18 @@ total simulated cycles.
 
 The accountant walks the controller's event log segment by segment — the
 paper's "account multiple cycles in one step" — so its cost is linear in
-the number of DRAM commands, not in simulated cycles.
+the number of DRAM commands, not in simulated cycles. The one sweep
+routes every unit to a ``(requester, component)`` pair through the log's
+owner columns (see :mod:`repro.stacks.requester`):
+:meth:`~BandwidthStackAccountant.requester_cycles` returns those rows,
+and :meth:`~BandwidthStackAccountant.account_cycles` folds them into the
+aggregate counters.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import islice
+from itertools import islice, repeat
 
 from repro.dram.components.accounting import (
     REASON_CODE,
@@ -45,6 +51,11 @@ from repro.stacks.components import (
     StackSeries,
     ordered_stack,
     paused_gc,
+)
+from repro.stacks.requester import (
+    REQUESTER_BANDWIDTH_COMPONENTS,
+    SHARED_REQUESTER,
+    fold_interference,
 )
 
 #: Canonical component order (bottom of the stack first). ``read`` and
@@ -71,28 +82,20 @@ _BANK_GROUP = SCOPE_CODE[BlockScope.BANK_GROUP]
 class _WindowCursor:
     """Forward-moving coverage queries over a timeline of windows.
 
-    Each window is an entry whose first two items are its ``[start,
-    end)``; any further items are its payload. A :class:`Timeline` is
-    queried through its start and end columns; a list of tuples works
-    too. Windows may overlap each other; queries must be made with
-    non-decreasing times. The windows are indexed in place when they
-    are already ordered by ``(start, end)``, as every controller's
-    event log is (one linear check); otherwise the cursor walks a
-    sorted index order instead (offline or hand-built logs).
+    The windows are the ``[start, end)`` pairs of a :class:`Timeline`'s
+    start and end columns. Windows may overlap each other; queries must
+    be made with non-decreasing times. The windows are indexed in place
+    when they are already ordered by ``(start, end)``, as every
+    controller's event log is (one linear check); otherwise the cursor
+    walks a sorted index order instead (offline or hand-built logs).
     ``cover(t)`` returns whether any window contains t;
     ``edges_in(lo, hi)`` returns window edges inside (lo, hi);
-    ``covering_index(t)`` and ``covering_payload(t)`` name the window
-    covering t with the smallest ``(start, end)`` (the last-listed one
-    among equal ``(start, end)``).
+    ``covering_index(t)`` names the window covering t with the smallest
+    ``(start, end)`` (the last-listed one among equal ``(start, end)``).
     """
 
-    def __init__(self, windows) -> None:
-        self._windows = windows
-        if isinstance(windows, Timeline):
-            starts, ends = windows.starts, windows.ends
-        else:
-            starts = [window[0] for window in windows]
-            ends = [window[1] for window in windows]
+    def __init__(self, windows: Timeline) -> None:
+        starts, ends = windows.starts, windows.ends
         self._starts, self._ends = starts, ends
         self._order = (
             range(len(starts)) if _in_order(starts, ends)
@@ -141,7 +144,7 @@ class _WindowCursor:
         return edges
 
     def covering_index(self, t: int) -> int | None:
-        """List index of the window covering time t, if any."""
+        """Timeline index of the window covering time t, if any."""
         self._advance(t)
         active = self._active
         if not active:
@@ -155,11 +158,6 @@ class _WindowCursor:
                     break
                 first = i
         return first
-
-    def covering_payload(self, t: int) -> tuple | None:
-        """The window (with its payload) covering time t, if any."""
-        i = self.covering_index(t)
-        return None if i is None else self._windows[i]
 
 
 def _in_order(starts, ends) -> bool:
@@ -204,7 +202,6 @@ class BandwidthStackAccountant:
         self.auditor = auditor
 
     # ------------------------------------------------------------------
-    @paused_gc
     def account_cycles(
         self,
         log: EventLog,
@@ -217,39 +214,108 @@ class BandwidthStackAccountant:
         1/num_banks cycles; per bin the counts sum to
         ``num_banks * bin_length`` exactly.
         """
+        if bin_cycles is None:
+            bin_cycles = total_cycles
+        bins = []
+        for b, rows in enumerate(self._route(log, total_cycles, bin_cycles)):
+            counters = dict.fromkeys(BANDWIDTH_COMPONENTS, 0)
+            counters.update(fold_interference(rows))
+            length = min(total_cycles - b * bin_cycles, bin_cycles)
+            expected = self.num_banks * length
+            residual = expected - sum(counters.values())
+            if residual != 0:
+                message = (
+                    f"bin {b}: components sum to {sum(counters.values())}, "
+                    f"expected {expected}"
+                )
+                if self.auditor is None:
+                    raise AccountingError(message)
+                self.auditor.report(
+                    "bandwidth-sum", message, residual=residual,
+                    repair=lambda c=counters, r=residual: _repair_bin(c, r),
+                )
+            bins.append(counters)
+        return bins
+
+    def requester_cycles(
+        self, log: EventLog, total_cycles: int
+    ) -> dict[int, dict[str, int]]:
+        """Attribute all cycles; returns integer counters per requester.
+
+        Each row maps component (:data:`REQUESTER_BANDWIDTH_COMPONENTS`)
+        -> count in units of 1/num_banks cycles, for every requester
+        that owns any unit (the shared row is :data:`SHARED_REQUESTER`);
+        across rows the counts sum to ``num_banks * total_cycles``.
+        Strict: an inexact sum raises
+        :class:`~repro.errors.AccountingError` even under an auditor.
+        """
+        rows = self._route(log, total_cycles, total_cycles)[0]
+        total = sum(sum(row.values()) for row in rows.values())
+        if total != self.num_banks * total_cycles:
+            raise AccountingError(
+                f"per-requester components sum to {total}, expected "
+                f"{self.num_banks * total_cycles}"
+            )
+        return {r: row for r, row in rows.items() if any(row.values())}
+
+    @paused_gc
+    def _route(
+        self, log: EventLog, total_cycles: int, bin_cycles: int
+    ) -> list[dict[int, dict[str, int]]]:
+        """The sweep: every unit of every bin to its requester's row.
+
+        Returns per bin a dict requester -> counters over
+        :data:`REQUESTER_BANDWIDTH_COMPONENTS`, with a row for every
+        requester id from the shared row up to the largest owner in the
+        log (a row that owns nothing stays all zero).
+        """
         if total_cycles <= 0:
             raise AccountingError("total_cycles must be positive")
         n = self.num_banks
-        if bin_cycles is None:
-            bin_cycles = total_cycles
+        owner_columns = (log.pre_owners, log.act_owners, log.cas_owners)
+        top = max(
+            max(log.burst_owners, default=SHARED_REQUESTER),
+            *(max(owners, default=SHARED_REQUESTER)
+              for owners in owner_columns),
+            max(log.blocked_owners, default=-2) >> 1,
+        )
+        requesters = range(SHARED_REQUESTER, top + 1)
         num_bins = -(-total_cycles // bin_cycles)
-        bins: list[dict[str, int]] = [
-            dict.fromkeys(BANDWIDTH_COMPONENTS, 0) for _ in range(num_bins)
+        bins = [
+            {
+                r: dict.fromkeys(REQUESTER_BANDWIDTH_COMPONENTS, 0)
+                for r in requesters
+            }
+            for _ in range(num_bins)
         ]
 
         if num_bins == 1:
             # Aggregate stacks use a single bin; skip the bin walk.
-            counters0 = bins[0]
+            rows0 = bins[0]
 
-            def add(component: str, s: int, e: int, weight: int) -> None:
+            def add(
+                requester: int, component: str, s: int, e: int, weight: int
+            ) -> None:
                 """Add `weight` (in 1/n cycle units) per cycle of [s, e)."""
                 if s < 0:
                     s = 0
                 if e > total_cycles:
                     e = total_cycles
                 if s < e:
-                    counters0[component] += (e - s) * weight
+                    rows0[requester][component] += (e - s) * weight
 
         else:
 
-            def add(component: str, s: int, e: int, weight: int) -> None:
+            def add(
+                requester: int, component: str, s: int, e: int, weight: int
+            ) -> None:
                 """Add `weight` (in 1/n cycle units) per cycle of [s, e)."""
                 s = max(s, 0)
                 e = min(e, total_cycles)
                 while s < e:
                     b = s // bin_cycles
                     seg_end = min(e, (b + 1) * bin_cycles)
-                    bins[b][component] += (seg_end - s) * weight
+                    bins[b][requester][component] += (seg_end - s) * weight
                     s = seg_end
 
         # --- 1. Data bursts -------------------------------------------
@@ -257,10 +323,10 @@ class BandwidthStackAccountant:
         # omit the core.
         prev_end = 0
         gaps: list[tuple[int, int]] = []
-        bursts = log.bursts
-        if not in_start_order(bursts):
+        bursts = zip(log.bursts, log.burst_owners)
+        if not in_start_order(log.bursts):
             bursts = sorted(bursts)
-        for start, end, is_write, *__ in bursts:
+        for (start, end, is_write, *__), owner in bursts:
             if start < prev_end:
                 message = f"overlapping data bursts at cycle {start}"
                 if self.auditor is None:
@@ -272,157 +338,166 @@ class BandwidthStackAccountant:
                 start = min(prev_end, end)
             if start > prev_end:
                 gaps.append((prev_end, min(start, total_cycles)))
-            add("write" if is_write else "read", start, end, n)
+            add(owner, "write" if is_write else "read", start, end, n)
             prev_end = max(prev_end, end)
         if prev_end < total_cycles:
             gaps.append((prev_end, total_cycles))
 
-        # --- 2. Gap classification ------------------------------------
-        refresh = _WindowCursor(log.refresh_windows)
-        blocked = _WindowCursor(log.blocked)
-        blocked_codes = log.blocked.columns[2:]
-        bpg = self.spec.organization.banks_per_group
-
-        # Per-bank pre/act/cas coverage is computed with one global,
-        # time-sorted event sweep: each window contributes a +1/-1 edge
-        # on its bank's (bank, kind) slot, and per-bank states (with the
-        # pre > act > cas priority) are maintained incrementally. This
-        # replaces 3*n cursors each queried per segment — the accounting
-        # stays linear in the number of DRAM commands with a constant
-        # independent of the bank count. Events are packed into single
-        # ints (time in the high bits, then slot, then a start flag) so
-        # sorting and scanning stay allocation-free.
-        shift = (8 * n).bit_length()
+        # --- 2. Per-bank state events ---------------------------------
+        # Per-bank pre/act/cas/per-bank-refresh coverage is computed
+        # with one global, time-sorted event sweep: each window
+        # contributes a start and an end event on its bank's (bank,
+        # kind) slot, and per-bank states (with the refresh > pre > act
+        # > cas priority) are maintained incrementally, so the cost is
+        # linear in the number of DRAM commands whatever the bank
+        # count. Events are packed into single ints — time, then slot,
+        # then a start flag, then the window's owner + 1 — so sorting
+        # and scanning stay allocation-free. A start event makes its
+        # owner the slot's owner.
+        obits = (top + 1).bit_length()
+        sshift = obits + 1
+        tshift = sshift + (4 * n - 1).bit_length()
+        smask = (1 << (tshift - sshift)) - 1
+        flag = 1 << obits
+        omask = flag - 1
         events: list[int] = []
         append = events.append
-        for windows, kind in (
-            (log.pre_windows, 0),
-            (log.act_windows, 1),
-            (log.cas_windows, 2),
-            (log.bank_refresh_windows, 3),
+        for kind, windows, owners in (
+            (0, log.pre_windows, log.pre_owners),
+            (1, log.act_windows, log.act_owners),
+            (2, log.cas_windows, log.cas_owners),
+            (3, log.bank_refresh_windows, repeat(SHARED_REQUESTER)),
         ):
-            # `bank % n` matches the list indexing the per-bank cursors
-            # historically used: offline-reconstructed logs record
+            # `bank % n`: offline-reconstructed logs record
             # precharge-all commands with a negative flat bank (see
-            # repro.trace.offline), which wrapped onto a high bank.
-            for s, e, bank in windows:
-                slot2 = ((bank % n) * 4 + kind) << 1
-                append((s << shift) | slot2 | 1)
-                append((e << shift) | slot2)
+            # repro.trace.offline), which wraps onto a high bank.
+            for s, e, bank, owner in zip(*windows.columns, owners):
+                slot = ((bank % n) * 4 + kind) << sshift
+                append((s << tshift) | slot | flag | (owner + 1))
+                append((e << tshift) | slot)
         events.sort()
         num_events = len(events)
         counts = [0] * (4 * n)
-        bank_state = [0] * n  # 0 idle, 1 pre, 2 act, 3 cas, 4 refresh
+        # Owner + 1 of each slot's latest-started window.
+        slot_owner = [0] * (4 * n)
+        # Each bank's key: state << obits | owner + 1 of the window that
+        # set the state (0 idle, 1 pre, 2 act, 3 cas, 4 per-bank
+        # refresh; idle and refreshing banks belong to the shared row).
+        bank_key = [0] * n
+        banks_by_key = [0] * (5 << obits)
+        banks_by_key[0] = n
         tallies = [n, 0, 0, 0, 0]  # banks per state
-        ptr = 0
+        pre_key, act_key, cas_key, ref_key = (
+            state << obits for state in (1, 2, 3, 4)
+        )
+        owned = [
+            (key | (r + 1), r, component)
+            for key, component in (
+                (pre_key, "precharge"),
+                (act_key, "activate"),
+                (cas_key, "constraints"),
+            )
+            for r in requesters
+        ]
 
+        # --- 3. Gap classification ------------------------------------
+        refresh = _WindowCursor(log.refresh_windows)
+        blocked = _WindowCursor(log.blocked)
+        scopes, __, reasons = log.blocked.columns[2:]
+        blocked_owners = log.blocked_owners
+        bpg = self.spec.organization.banks_per_group
+
+        def classify(s: int, e: int) -> None:
+            """Attribute one channel-idle segment [s, e).
+
+            A channel-wide (all-bank) refresh window takes the whole
+            segment; otherwise the per-bank states at `s` split it when
+            any bank is refreshing, precharging or activating, and a
+            waiting request's binding constraint or channel idle takes
+            it when none is.
+            """
+            if refresh.cover(s):
+                add(SHARED_REQUESTER, "refresh", s, e, n)
+                return
+            if tallies[1] or tallies[2] or tallies[4]:
+                if tallies[4]:
+                    add(SHARED_REQUESTER, "refresh", s, e, tallies[4])
+                for key, requester, component in owned:
+                    banks = banks_by_key[key]
+                    if banks:
+                        add(requester, component, s, e, banks)
+                add(SHARED_REQUESTER, "bank_idle", s, e, tallies[0])
+                return
+            i = blocked.covering_index(s)
+            if i is None or reasons[i] == _INFLIGHT:
+                # Nothing waits, or data is on its way but nothing is
+                # waiting to issue: more requests could have used these
+                # cycles -> idle (the paper: "the DRAM chip is
+                # completely idle").
+                add(SHARED_REQUESTER, "idle", s, e, n)
+                return
+            code = blocked_owners[i]
+            victim = code >> 1
+            component = "interference" if code & 1 else "constraints"
+            scope = scopes[i]
+            if scope == _BANK_GROUP:
+                add(victim, component, s, e, bpg)
+                add(SHARED_REQUESTER, "bank_idle", s, e, n - bpg)
+            elif scope == _BANK:
+                add(victim, component, s, e, 1)
+                add(SHARED_REQUESTER, "bank_idle", s, e, n - 1)
+            else:  # RANK / CHANNEL: nothing could issue anywhere.
+                add(victim, component, s, e, n)
+
+        ptr = 0
         for gap_start, gap_end in gaps:
             if gap_start >= gap_end:
                 continue
             edges = {gap_start, gap_end}
             edges.update(refresh.edges_in(gap_start, gap_end))
             edges.update(blocked.edges_in(gap_start, gap_end))
-            lo = bisect_left(events, (gap_start + 1) << shift)
-            hi = bisect_left(events, gap_end << shift)
+            lo = bisect_left(events, (gap_start + 1) << tshift)
+            hi = bisect_left(events, gap_end << tshift)
             if lo < hi:
-                edges.update(code >> shift for code in events[lo:hi])
+                edges.update(code >> tshift for code in events[lo:hi])
             points = sorted(edges)
             for s, e in zip(points, points[1:]):
-                limit = (s + 1) << shift
+                limit = (s + 1) << tshift
                 while ptr < num_events:
                     code = events[ptr]
                     if code >= limit:
                         break
                     ptr += 1
-                    slot = (code >> 1) & ((1 << (shift - 1)) - 1)
-                    if code & 1:
+                    slot = (code >> sshift) & smask
+                    if code & flag:
                         counts[slot] += 1
+                        slot_owner[slot] = code & omask
                     else:
                         counts[slot] -= 1
-                    bank = slot // 4
-                    base = bank * 4
+                    base = slot & -4
                     if counts[base + 3]:
-                        state = 4
+                        key = ref_key
                     elif counts[base]:
-                        state = 1
+                        key = pre_key | slot_owner[base]
                     elif counts[base + 1]:
-                        state = 2
+                        key = act_key | slot_owner[base + 1]
                     elif counts[base + 2]:
-                        state = 3
+                        key = cas_key | slot_owner[base + 2]
                     else:
-                        state = 0
-                    old = bank_state[bank]
-                    if state != old:
-                        bank_state[bank] = state
-                        tallies[old] -= 1
-                        tallies[state] += 1
-                self._classify_segment(
-                    s, e, refresh, blocked, blocked_codes,
-                    tallies[1], tallies[2], tallies[3], tallies[4], bpg, add,
-                )
-
-        # --- 3. Exactness check ----------------------------------------
-        for b, counters in enumerate(bins):
-            length = min(total_cycles - b * bin_cycles, bin_cycles)
-            residual = n * length - sum(counters.values())
-            if residual != 0:
-                message = (
-                    f"bin {b}: components sum to {sum(counters.values())}, "
-                    f"expected {n * length}"
-                )
-                if self.auditor is None:
-                    raise AccountingError(message)
-                self.auditor.report(
-                    "bandwidth-sum", message, residual=residual,
-                    repair=lambda c=counters, r=residual: _repair_bin(c, r),
-                )
+                        key = 0
+                    bank = slot >> 2
+                    old = bank_key[bank]
+                    if key != old:
+                        bank_key[bank] = key
+                        banks_by_key[old] -= 1
+                        banks_by_key[key] += 1
+                        old >>= obits
+                        key >>= obits
+                        if key != old:
+                            tallies[old] -= 1
+                            tallies[key] += 1
+                classify(s, e)
         return bins
-
-    def _classify_segment(
-        self, s: int, e: int, refresh: _WindowCursor, blocked: _WindowCursor,
-        blocked_codes: tuple, n_pre: int, n_act: int, n_cas: int,
-        n_ref: int, banks_per_group: int, add,
-    ) -> None:
-        """Attribute one channel-idle segment [s, e).
-
-        `n_pre`/`n_act`/`n_cas`/`n_ref` count banks precharging,
-        activating, with a CAS in flight, and in per-bank (same-bank)
-        refresh at `s`, with the per-bank refresh > pre > act > cas
-        priority already applied by the caller's event sweep. A
-        channel-wide (all-bank) refresh window still takes the whole
-        segment; per-bank refresh takes only its bank's 1/n share.
-        `blocked_codes` are the blocked timeline's scope, bank-group
-        and reason columns.
-        """
-        n = self.num_banks
-        if refresh.cover(s):
-            add("refresh", s, e, n)
-            return
-        if n_ref or n_pre or n_act:
-            add("refresh", s, e, n_ref)
-            add("precharge", s, e, n_pre)
-            add("activate", s, e, n_act)
-            add("constraints", s, e, n_cas)
-            add("bank_idle", s, e, n - n_ref - n_pre - n_act - n_cas)
-            return
-        i = blocked.covering_index(s)
-        if i is not None:
-            scope = blocked_codes[0][i]
-            if blocked_codes[2][i] == _INFLIGHT:
-                # Data is on its way but nothing is waiting to issue:
-                # more requests could have used these cycles -> idle
-                # (the paper: "the DRAM chip is completely idle").
-                add("idle", s, e, n)
-            elif scope == _BANK_GROUP:
-                add("constraints", s, e, banks_per_group)
-                add("bank_idle", s, e, n - banks_per_group)
-            elif scope == _BANK:
-                add("constraints", s, e, 1)
-                add("bank_idle", s, e, n - 1)
-            else:  # RANK / CHANNEL: nothing could issue anywhere.
-                add("constraints", s, e, n)
-            return
-        add("idle", s, e, n)
 
     # ------------------------------------------------------------------
     def account(
@@ -471,6 +546,28 @@ class BandwidthStackAccountant:
                 self.auditor.report("bandwidth-total", str(error))
         return stack
 
+    def account_requesters(
+        self, log: EventLog, total_cycles: int, label: str = ""
+    ) -> dict[int, Stack]:
+        """Per-requester bandwidth stacks in GB/s.
+
+        The rows share the aggregate stack's scale: summed across
+        requesters (interference included) they total the peak
+        bandwidth, so each row reads as that requester's share of the
+        channel.
+        """
+        rows = self.requester_cycles(log, total_cycles)
+        scale = self.spec.peak_bandwidth_gbps / (self.num_banks * total_cycles)
+        return {
+            requester: ordered_stack(
+                {name: count * scale for name, count in counters.items()},
+                REQUESTER_BANDWIDTH_COMPONENTS,
+                unit="GB/s",
+                label=f"{label}R{requester}" if requester >= 0
+                else f"{label}shared",
+            )
+            for requester, counters in rows.items()
+        }
 
     def per_core_achieved(
         self, log: EventLog, total_cycles: int

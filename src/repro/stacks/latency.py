@@ -19,22 +19,30 @@ to restrict to demand loads); in a prefetcher-covered stream they *are*
 the read stream whose latency bounds throughput. The decomposition is exact: the components of
 each read sum to its measured latency, so no latency is double counted
 or lost.
+
+Per-requester stacks (:meth:`LatencyStackAccountant.account_requesters`)
+come from the same per-read walk: it additionally moves the queue cycles
+covered by *other* requesters' data bursts from ``queue`` to
+``interference``.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, compress
 
 from repro.dram.commands import Request
+from repro.dram.components.accounting import EventLog, Timeline
 from repro.dram.timing import TimingSpec
 from repro.errors import AccountingError
 from repro.stacks import intervals as iv
+from repro.stacks.bandwidth import in_start_order
 from repro.stacks.components import (
     Stack,
     StackSeries,
     ordered_stack,
     paused_gc,
 )
+from repro.stacks.requester import SHARED_REQUESTER
 
 LATENCY_COMPONENTS = ("base", "pre_act", "refresh", "writeburst", "queue")
 LATENCY_COMPONENTS_SPLIT = (
@@ -87,8 +95,14 @@ class LatencyStackAccountant:
         request: Request,
         refresh_windows: list[tuple[int, int]],
         drain_windows: list[tuple[int, int]],
+        foreign=None,
     ) -> dict[str, float]:
-        """Per-read latency components, in cycles."""
+        """Per-read latency components, in cycles.
+
+        With `foreign` — the time-sorted windows of data bursts owned by
+        requesters other than the request's — the queue cycles those
+        bursts cover move from ``queue`` to an ``interference`` part.
+        """
         if not request.is_read or request.cas_issue < 0:
             raise AccountingError(
                 "latency stacks are built from completed reads only"
@@ -98,7 +112,8 @@ class LatencyStackAccountant:
 
         # Each hierarchy level only allocates interval lists when its
         # windows actually overlap the wait; the common fully-queued
-        # read touches none of them.
+        # read touches none of them. `rest` is what is left of the wait
+        # after each level: after the last, the read's queue intervals.
         in_refresh = iv.clip(refresh_windows, arrival, cas)
         if in_refresh:
             rest = iv.subtract([(arrival, cas)], in_refresh)
@@ -127,7 +142,10 @@ class LatencyStackAccountant:
             own.sort()
             own_clipped = iv.clip(own, arrival, cas)
             if own_clipped:
-                own_c = iv.total_length(iv.intersect(rest, own_clipped))
+                own_in = iv.intersect(rest, own_clipped)
+                own_c = iv.total_length(own_in)
+                if own_in and foreign is not None:
+                    rest = iv.subtract(rest, own_in)
         queue_c = (cas - arrival) - refresh_c - drain_c - own_c
         parts: dict[str, float] = {
             "pre_act": own_c,
@@ -135,12 +153,28 @@ class LatencyStackAccountant:
             "writeburst": drain_c,
             "queue": queue_c,
         }
+        if foreign is not None:
+            foreign_clipped = iv.clip(foreign, arrival, cas)
+            inter_c = (
+                iv.total_length(iv.intersect(rest, foreign_clipped))
+                if foreign_clipped else 0
+            )
+            parts["interference"] = inter_c
+            parts["queue"] = queue_c - inter_c
         if self.split_base:
             parts["base_cntlr"] = self.base_controller_cycles
             parts["base_dram"] = base_dram
         else:
             parts["base"] = self.base_controller_cycles + base_dram
         return parts
+
+    def _counts(self, request: Request) -> bool:
+        """Whether `request` is a DRAM read the stacks average over."""
+        return (
+            request.is_read and not request.forwarded
+            and request.cas_issue >= 0
+            and (self.include_prefetch or not request.is_prefetch)
+        )
 
     @paused_gc
     def account(
@@ -151,16 +185,71 @@ class LatencyStackAccountant:
         label: str = "",
     ) -> Stack:
         """Average latency stack over all DRAM reads, in nanoseconds."""
-        reads = [
-            r for r in requests
-            if r.is_read and not r.forwarded and r.cas_issue >= 0
-            and (self.include_prefetch or not r.is_prefetch)
-        ]
+        reads = [r for r in requests if self._counts(r)]
+        return self._mean(reads, refresh_windows, drain_windows, label)
+
+    @paused_gc
+    def account_requesters(
+        self, requests: list[Request], log: EventLog, label: str = ""
+    ) -> dict[int, Stack]:
+        """Average latency stacks per requester, in nanoseconds.
+
+        Each requester's stack averages its own reads, with the queue
+        cycles covered by other requesters' bursts reported as
+        ``interference``. With one requester ``interference`` is zero
+        and the stack is the aggregate's.
+        """
+        reads: dict[int, list[Request]] = {}
+        for request in requests:
+            if self._counts(request):
+                reads.setdefault(request.requester_id, []).append(request)
+        refresh = refresh_windows_for_latency(log)
+        # Burst (start, end) and owner columns in time order.
+        bursts = log.bursts
+        starts, ends = bursts.starts, bursts.ends
+        owners = log.burst_owners
+        if not in_start_order(bursts):
+            order = sorted(
+                range(len(bursts)), key=lambda i: (starts[i], ends[i])
+            )
+            starts, ends, owners = (
+                [column[i] for i in order]
+                for column in (starts, ends, owners)
+            )
+        stacks: dict[int, Stack] = {}
+        for requester in sorted(reads):
+            others = [
+                owner != requester and owner != SHARED_REQUESTER
+                for owner in owners
+            ]
+            foreign = Timeline()
+            foreign.starts.extend(compress(starts, others))
+            foreign.ends.extend(compress(ends, others))
+            stacks[requester] = self._mean(
+                reads[requester], refresh, log.drain_windows,
+                f"{label}R{requester}", foreign,
+            )
+        return stacks
+
+    def _mean(
+        self,
+        reads: list[Request],
+        refresh_windows: list[tuple[int, int]],
+        drain_windows: list[tuple[int, int]],
+        label: str,
+        foreign=None,
+    ) -> Stack:
+        """Average of the reads' checked decompositions, in ns."""
+        components = self.components
+        if foreign is not None:
+            components = (*components[:-1], "interference", "queue")
         if not reads:
-            return ordered_stack({}, self.components, unit="ns", label=label)
-        sums = dict.fromkeys(self.components, 0.0)
+            return ordered_stack({}, components, unit="ns", label=label)
+        sums = dict.fromkeys(components, 0.0)
         for request in reads:
-            parts = self.decompose(request, refresh_windows, drain_windows)
+            parts = self.decompose(
+                request, refresh_windows, drain_windows, foreign
+            )
             negatives = [
                 name for name, value in parts.items() if value < -1e-9
             ]
@@ -194,7 +283,7 @@ class LatencyStackAccountant:
         scale = self.spec.cycle_ns / len(reads)
         return ordered_stack(
             {name: value * scale for name, value in sums.items()},
-            self.components,
+            components,
             unit="ns",
             label=label,
         )
@@ -212,11 +301,7 @@ class LatencyStackAccountant:
         num_bins = -(-total_cycles // bin_cycles)
         buckets: list[list[Request]] = [[] for _ in range(num_bins)]
         for request in requests:
-            if not request.is_read or request.forwarded:
-                continue
-            if request.is_prefetch and not self.include_prefetch:
-                continue
-            if request.cas_issue < 0:
+            if not self._counts(request):
                 continue
             b = min(request.finish // bin_cycles, num_bins - 1)
             buckets[b].append(request)

@@ -31,11 +31,10 @@ from repro.dram.timing import DDR4_2400
 from repro.errors import ConfigurationError
 from repro.reliability.fingerprint import event_log_digest
 from repro.stacks.bandwidth import BandwidthStackAccountant
+from repro.stacks.latency import LatencyStackAccountant
 from repro.stacks.requester import (
     REQUESTER_BANDWIDTH_COMPONENTS,
     SHARED_REQUESTER,
-    RequesterBandwidthAccountant,
-    RequesterLatencyAccountant,
     fold_interference,
 )
 from tests.conftest import run_stream
@@ -99,10 +98,17 @@ def coalesce_blocked(log):
     return merged
 
 
-def run(scheduling: str, requests, page_policy: str = "open"):
-    """Run a fresh controller over the stream; returns the controller."""
+def run(
+    scheduling: str, requests, page_policy: str = "open",
+    device: str | None = None,
+):
+    """Run a fresh controller over the stream; returns the controller.
+
+    `device` selects a device preset instead of the DDR4-2400 spec.
+    """
     config = ControllerConfig(
-        spec=DDR4_2400, scheduling=scheduling, page_policy=page_policy
+        spec=DDR4_2400, scheduling=scheduling, page_policy=page_policy,
+        device=device,
     )
     return run_stream(MemoryController(config), requests)
 
@@ -115,19 +121,19 @@ class TestConservation:
         requests=qos_streams(),
         scheduling=st.sampled_from(QOS_SCHEDULINGS),
         page_policy=st.sampled_from(["open", "closed"]),
+        # lpddr5-6400 refreshes per bank: its REFpb windows must fold
+        # into the shared row's refresh.
+        device=st.sampled_from([None, "lpddr5-6400"]),
     )
     def test_folded_rows_equal_aggregate(
-        self, requests, scheduling, page_policy
+        self, requests, scheduling, page_policy, device
     ):
-        ctrl = run(scheduling, requests, page_policy)
-        rows = RequesterBandwidthAccountant(DDR4_2400).account_cycles(
-            ctrl.log, ctrl.now
-        )
-        aggregate = BandwidthStackAccountant(DDR4_2400).account_cycles(
-            ctrl.log, ctrl.now
-        )[0]
+        ctrl = run(scheduling, requests, page_policy, device)
+        acct = BandwidthStackAccountant(ctrl.spec)
+        rows = acct.requester_cycles(ctrl.log, ctrl.now)
+        aggregate = acct.account_cycles(ctrl.log, ctrl.now)[0]
         assert fold_interference(rows) == aggregate
-        n = DDR4_2400.organization.total_banks
+        n = ctrl.spec.organization.total_banks
         total = sum(sum(row.values()) for row in rows.values())
         assert total == n * ctrl.now
         for row in rows.values():
@@ -138,19 +144,16 @@ class TestConservation:
     @given(requests=qos_streams(requesters=3))
     def test_three_requesters_conserve_under_wrr(self, requests):
         ctrl = run("wrr:4,2,1", requests)
-        rows = RequesterBandwidthAccountant(DDR4_2400).account_cycles(
-            ctrl.log, ctrl.now
-        )
-        aggregate = BandwidthStackAccountant(DDR4_2400).account_cycles(
-            ctrl.log, ctrl.now
-        )[0]
+        acct = BandwidthStackAccountant(DDR4_2400)
+        rows = acct.requester_cycles(ctrl.log, ctrl.now)
+        aggregate = acct.account_cycles(ctrl.log, ctrl.now)[0]
         assert fold_interference(rows) == aggregate
 
     @settings(max_examples=25, deadline=None)
     @given(requests=qos_streams())
     def test_stacks_total_peak_bandwidth(self, requests):
         ctrl = run("wrr", requests)
-        stacks = RequesterBandwidthAccountant(DDR4_2400).account(
+        stacks = BandwidthStackAccountant(DDR4_2400).account_requesters(
             ctrl.log, ctrl.now
         )
         total = sum(stack.total for stack in stacks.values())
@@ -183,13 +186,13 @@ class TestDegenerateInvariance:
     )
     def test_interference_is_zero(self, requests, scheduling):
         ctrl = run(scheduling, requests)
-        bandwidth = RequesterBandwidthAccountant(DDR4_2400).account_cycles(
+        bandwidth = BandwidthStackAccountant(DDR4_2400).requester_cycles(
             ctrl.log, ctrl.now
         )
         assert set(bandwidth) <= {0, SHARED_REQUESTER}
         for row in bandwidth.values():
             assert row.get("interference", 0) == 0
-        latency = RequesterLatencyAccountant(DDR4_2400).account(
+        latency = LatencyStackAccountant(DDR4_2400).account_requesters(
             ctrl.completed_requests, ctrl.log
         )
         for stack in latency.values():
@@ -324,7 +327,7 @@ class TestLatencyExactness:
         ctrl = run(scheduling, requests)
         # The accountant raises AccountingError on any per-read
         # mismatch; reaching the assertions below is the exactness proof.
-        stacks = RequesterLatencyAccountant(DDR4_2400).account(
+        stacks = LatencyStackAccountant(DDR4_2400).account_requesters(
             ctrl.completed_requests, ctrl.log
         )
         reads = {

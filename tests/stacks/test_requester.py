@@ -48,8 +48,9 @@ class TestSystemConservation:
         assert total == pytest.approx(qos_result.spec.peak_bandwidth_gbps)
 
     def test_latency_weighted_mean_matches_aggregate(self, qos_result):
-        """Per-requester averages recombine to the aggregate average:
-        interference only re-labels queue cycles, never adds any."""
+        """Per-requester averages recombine to the aggregate average,
+        component by component: interference only re-labels queue
+        cycles, and every other component is the aggregate's."""
         per_requester = qos_result.per_requester_latency_stacks()
         counts = {}
         for request in qos_result.memory.completed_requests:
@@ -61,13 +62,15 @@ class TestSystemConservation:
                     counts.get(request.requester_id, 0) + 1
                 )
         assert set(per_requester) == set(counts)
-        weighted = sum(
-            per_requester[r].total * counts[r] for r in counts
-        )
+        reads = sum(counts.values())
         aggregate = qos_result.latency_stack()
-        assert weighted / sum(counts.values()) == pytest.approx(
-            aggregate.total
-        )
+        for name, value in aggregate:
+            parts = ("queue", "interference") if name == "queue" else (name,)
+            weighted = sum(
+                per_requester[r][part] * counts[r]
+                for r in counts for part in parts
+            )
+            assert weighted / reads == pytest.approx(value), name
 
     def test_labels_name_the_requesters(self, qos_result):
         bandwidth = qos_result.per_requester_bandwidth_stacks("qos ")
@@ -75,6 +78,24 @@ class TestSystemConservation:
         assert bandwidth[SHARED_REQUESTER].label == "qos shared"
         latency = qos_result.per_requester_latency_stacks("qos ")
         assert latency[1].label == "qos R1"
+
+
+class TestSameBankRefreshConservation(TestSystemConservation):
+    """The same invariants on same-bank-refresh devices: their per-bank
+    refresh windows must land in the shared row, and latency must
+    account the merged windows."""
+
+    @pytest.fixture(
+        scope="class", params=("lpddr5-6400", "ddr5-4800:subchannels=1")
+    )
+    def qos_result(self, request):
+        result = run_synthetic(
+            "random", cores=2, store_fraction=0.2, requesters=2,
+            scheduling="wrr", device=request.param, scale=TINY, guard=False,
+        )
+        # Without per-bank refresh windows the class would test nothing new.
+        assert len(result.memory.log.bank_refresh_windows) > 0
+        return result
 
 
 class TestSingleRequesterDegeneracy:

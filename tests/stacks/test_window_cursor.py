@@ -1,6 +1,6 @@
 """Property tests: the accountants' window cursor against a per-cycle oracle.
 
-The cursor indexes an event log's window list in place when the list is
+The cursor indexes an event-log timeline in place when its windows are
 ordered by (start, end), and walks a sorted index order otherwise. Both
 paths must answer every query exactly as a brute-force scan of the
 windows at each cycle does.
@@ -12,6 +12,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from repro.dram.components.accounting import BANK, BLOCKED, PAIR, Timeline
 from repro.dram.rank import BlockScope
 from repro.stacks.bandwidth import _WindowCursor
 
@@ -20,14 +21,15 @@ SCOPES = list(BlockScope)
 
 
 def covering(windows, t):
-    """Oracle: the window covering cycle t with the smallest
-    (start, end), the last-listed one among equal (start, end)."""
+    """Oracle: the index of the window covering cycle t with the
+    smallest (start, end), the last-listed one among equal (start,
+    end)."""
     best = None
-    for window in windows:
+    for i, window in enumerate(windows):
         if window[0] <= t < window[1] and (
-            best is None or window[:2] <= best[:2]
+            best is None or window[:2] <= windows[best][:2]
         ):
-            best = window
+            best = i
     return best
 
 
@@ -84,7 +86,7 @@ def queries(draw):
     ops, t = [], 0
     for __ in range(draw(st.integers(1, 25))):
         t += draw(st.integers(0, 15))
-        kind = draw(st.sampled_from(["cover", "edges", "payload", "index"]))
+        kind = draw(st.sampled_from(["cover", "edges", "index"]))
         if kind == "edges":
             ops.append((kind, t, t + draw(st.integers(0, 40))))
         else:
@@ -92,41 +94,39 @@ def queries(draw):
     return ops
 
 
-def check(windows, ops):
-    cursor = _WindowCursor(windows)
+def check(layout, windows, ops):
+    cursor = _WindowCursor(Timeline(layout, windows))
     for op in ops:
         kind, t = op[0], op[1]
         if kind == "cover":
             assert cursor.cover(t) == (covering(windows, t) is not None)
         elif kind == "edges":
             assert set(cursor.edges_in(t, op[2])) == edges(windows, t, op[2])
-        elif kind == "payload":
-            assert cursor.covering_payload(t) is covering(windows, t)
         else:
-            i = cursor.covering_index(t)
-            want = covering(windows, t)
-            assert (None if i is None else windows[i]) is want
+            assert cursor.covering_index(t) == covering(windows, t)
 
 
 @settings(max_examples=150, deadline=None)
 @given(blocked_windows(), queries())
 def test_disjoint_start_ordered(windows, ops):
-    check(windows, ops)
+    check(BLOCKED, windows, ops)
 
 
 @settings(max_examples=150, deadline=None)
 @given(overlapping_windows(), queries())
 def test_overlapping(windows, ops):
-    check(windows, ops)
+    check(PAIR, windows, ops)
 
 
 @settings(max_examples=150, deadline=None)
 @given(unsorted_windows(), queries())
 def test_unsorted(windows, ops):
-    check(windows, ops)
+    check(BANK, windows, ops)
 
 
 def test_ordered_log_is_indexed_in_place():
     windows = [(0, 4), (2, 9), (2, 10), (12, 13)]
-    assert isinstance(_WindowCursor(windows)._order, range)
-    assert not isinstance(_WindowCursor(windows[::-1])._order, range)
+    in_order = _WindowCursor(Timeline(PAIR, windows))
+    assert isinstance(in_order._order, range)
+    reversed_ = _WindowCursor(Timeline(PAIR, windows[::-1]))
+    assert not isinstance(reversed_._order, range)
