@@ -13,6 +13,7 @@ from __future__ import annotations
 import gc
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
+from itertools import compress
 
 from repro.cpu.core import (
     AT_BARRIER,
@@ -579,18 +580,19 @@ class SimulationResult:
             auditor=self.auditor,
         )
         refresh = refresh_windows_for_latency(self.memory.log)
-        by_core: dict[int, list] = {}
-        for request in self.memory.completed_requests:
-            if request.is_read and not request.forwarded:
-                by_core.setdefault(request.core_id, []).append(request)
+        done = self.memory.completed_requests
+        reads = done.reads()
         return {
             core: acct.account(
-                reads,
+                done.select(
+                    read and owner == core
+                    for read, owner in zip(reads, done.core_id)
+                ),
                 refresh,
                 self.memory.log.drain_windows,
                 label=f"core {core}",
             )
-            for core, reads in sorted(by_core.items())
+            for core in sorted(set(compress(done.core_id, reads)))
         }
 
     def per_core_bandwidth(self) -> dict[int, dict[str, float]]:

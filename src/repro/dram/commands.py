@@ -87,8 +87,12 @@ class Request:
             agent (GPU/DMA model) gets its own id. The default 0 puts every
             request in a single domain, which reproduces the original
             single-requester behaviour bit for bit.
-        is_prefetch: prefetch-generated reads; they count as demand traffic
-            for bandwidth purposes but are excluded from latency stacks.
+        is_prefetch: prefetch-generated reads. They count as demand
+            traffic for bandwidth purposes. Single-channel latency stacks
+            include them (:class:`~repro.stacks.latency.LatencyStackAccountant`
+            defaults to ``include_prefetch=True``); only the composite
+            multi-channel stacks of
+            :class:`~repro.dram.system.MemorySystem` drop them.
         meta: free-form tag for callers (e.g. the CPU model stores its
             bookkeeping handle here).
     """

@@ -12,6 +12,11 @@ packed controller loop appends straight to the columns. The typed
 *online* stream for live subscribers travels separately on the
 :class:`~repro.core.events.EventBus`.
 
+The controller's completed requests are recorded the same way: a
+:class:`CompletedRequests` record keeps the fields the latency
+accounting and the trace writer read as typed columns, so no request
+object outlives its delivery.
+
 Two taps are registered:
 
 * ``event-log`` (default) — record everything;
@@ -24,9 +29,10 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from itertools import compress
 from operator import eq
 
-from repro.dram.commands import Command
+from repro.dram.commands import Command, RequestType
 from repro.dram.rank import BlockScope
 
 _BOOLS = (False, True)
@@ -145,6 +151,132 @@ class Timeline:
         return len(self) == len(other) and all(map(eq, self, other))
 
     __hash__ = None
+
+
+#: Integer fields of a completed request, in :class:`CompletedRequests`
+#: column order, each with its column's typecode.
+REQUEST_FIELDS = (
+    ("arrival", "q"), ("cas_issue", "q"), ("finish", "q"),
+    ("own_pre_start", "q"), ("own_pre_end", "q"),
+    ("own_act_start", "q"), ("own_act_end", "q"),
+    ("address", "q"), ("req_id", "q"),
+    ("core_id", "h"), ("requester_id", "h"),
+)
+
+#: Bits of the :class:`CompletedRequests` flag column.
+IS_WRITE, IS_PREFETCH, FORWARDED = 1, 2, 4
+
+# (is_write, is_prefetch, forwarded) of each flag value.
+_FLAGS = tuple(
+    (bool(f & IS_WRITE), bool(f & IS_PREFETCH), bool(f & FORWARDED))
+    for f in range(8)
+)
+
+
+@dataclass(slots=True)
+class CompletedRequest:
+    """One row of a :class:`CompletedRequests` record.
+
+    It carries the :class:`~repro.dram.commands.Request` attributes the
+    accountants and the trace writer read, under the same names. A row
+    is a copy: changing it leaves the record as it was.
+    """
+
+    arrival: int
+    cas_issue: int
+    finish: int
+    own_pre_start: int
+    own_pre_end: int
+    own_act_start: int
+    own_act_end: int
+    address: int
+    req_id: int
+    core_id: int
+    requester_id: int
+    is_write: bool
+    is_prefetch: bool
+    forwarded: bool
+
+    @property
+    def is_read(self) -> bool:
+        """Whether this is a read request."""
+        return not self.is_write
+
+    @property
+    def req_type(self) -> RequestType:
+        """Read or write, as on the request."""
+        return RequestType.WRITE if self.is_write else RequestType.READ
+
+
+class CompletedRequests:
+    """The completed requests of a run, held as typed columns.
+
+    One ``array('q')`` or ``array('h')`` column per field of
+    :data:`REQUEST_FIELDS` and one ``array('b')`` column of
+    :data:`IS_WRITE` / :data:`IS_PREFETCH` / :data:`FORWARDED` bits:
+    77 bytes per request, where the request object cost ~490. The
+    record iterates, indexes (``[i]``, ``[-1]``) and has a ``len`` as
+    :class:`CompletedRequest` rows. :meth:`append` records one request
+    (or anything with its attributes, such as a row); the packed
+    controller loop appends straight to :attr:`columns`. Requests
+    handed to the constructor are appended in order, so a hand-built
+    list becomes a record.
+    """
+
+    __slots__ = (*(name for name, __ in REQUEST_FIELDS), "flags", "columns")
+
+    def __init__(self, requests=()) -> None:
+        self.columns = tuple(
+            array(typecode) for typecode in (
+                *(t for __, t in REQUEST_FIELDS), "b",
+            )
+        )
+        for (name, __), column in zip(REQUEST_FIELDS, self.columns):
+            setattr(self, name, column)
+        self.flags = self.columns[-1]
+        for request in requests:
+            self.append(request)
+
+    def append(self, request) -> None:
+        """Record one completed request."""
+        for (name, __), column in zip(REQUEST_FIELDS, self.columns):
+            column.append(getattr(request, name))
+        self.flags.append(
+            request.is_write * IS_WRITE
+            | request.is_prefetch * IS_PREFETCH
+            | request.forwarded * FORWARDED
+        )
+
+    def reads(self, prefetch: bool = True) -> list[bool]:
+        """Whether each row is a read the DRAM served (not forwarded
+        from the write buffer); with `prefetch` false, a demand read."""
+        drop = IS_WRITE | FORWARDED
+        if not prefetch:
+            drop |= IS_PREFETCH
+        return [not flags & drop for flags in self.flags]
+
+    def select(self, keep) -> "CompletedRequests":
+        """A record of the rows whose entry in `keep` is true."""
+        keep = list(keep)
+        record = CompletedRequests()
+        for mine, theirs in zip(self.columns, record.columns):
+            theirs.extend(compress(mine, keep))
+        return record
+
+    def __len__(self) -> int:
+        return len(self.flags)
+
+    def __iter__(self):
+        columns = self.columns
+        for *values, flags in zip(*columns):
+            yield CompletedRequest(*values, *_FLAGS[flags])
+
+    def __getitem__(self, i: int) -> CompletedRequest:
+        columns = self.columns
+        return CompletedRequest(
+            *(column[i] for column in columns[:-1]),
+            *_FLAGS[columns[-1][i]],
+        )
 
 
 def _timeline(payload):

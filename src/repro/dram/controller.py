@@ -42,7 +42,7 @@ from repro.dram import components
 from repro.dram.address import AddressMapping
 from repro.dram.bank import Bank
 from repro.dram.commands import Command, CommandType, Request, RequestType
-from repro.dram.components.accounting import EventLog
+from repro.dram.components.accounting import CompletedRequests, EventLog
 from repro.dram.components.paging import _BankCoords  # noqa: F401 - re-export
 from repro.dram.packed import PackedEngine, packed_fallback_reason
 from repro.dram.rank import BlockScope, RankTiming, SharedBus
@@ -308,7 +308,9 @@ class MemoryController:
         self._arrivals: list[tuple[int, int, Request]] = []  # heap
         self._in_flight: list[tuple[int, int, Request]] = []  # heap by finish
         self._completions: list[Request] = []
-        self.completed_requests: list[Request] = []
+        #: Every completed request's accounted fields, as columns; the
+        #: request objects themselves go to the caller at delivery.
+        self.completed_requests = CompletedRequests()
 
         #: Page-policy component.
         self._page = components.PAGE_POLICIES.create(self.config.page_policy)

@@ -16,7 +16,8 @@ Layout (struct of arrays; see docs/performance.md for the diagram):
   plus intrusive linked lists ``next_in_bank`` / ``next_in_row`` /
   ``next_global`` and a ``served`` byte; the read queue and the write
   queue are chains through one shared table. Row chains are keyed
-  ``(flat << 40) | row`` in plain dicts.
+  ``(flat << 40) | row`` in plain dicts. A parallel list holds each
+  entry's ``Request`` until the entry is served, then ``None``.
 * **Bank state** — ``open_row`` (-1 = closed), ``next_act/pre/cas``,
   ``pre/act_until``, ``cas_data_until`` and the six per-bank stat
   counters, one column each.
@@ -63,7 +64,13 @@ from repro.core.events import (
     SchedulerHeartbeat,
 )
 from repro.dram.commands import Command, CommandType, RequestType
-from repro.dram.components.accounting import REASON_CODE, SCOPE_CODE
+from repro.dram.components.accounting import (
+    FORWARDED as _FORWARDED,
+    IS_PREFETCH as _PREFETCH,
+    IS_WRITE as _WRITE,
+    REASON_CODE,
+    SCOPE_CODE,
+)
 from repro.dram.components.link import ControllerLink
 from repro.dram.components.paging import ClosedPagePolicy, OpenPagePolicy
 from repro.dram.components.refreshing import (
@@ -251,7 +258,7 @@ class PackedEngine(ControllerLink):
         self.e_nr = array("q")   # next in row chain
         self.e_ng = array("q")   # next in global chain
         self.e_srv = bytearray()
-        self.e_req = []          # parallel list of Request objects
+        self.e_req = []          # Request of each entry; None once served
         # Per-queue chain heads/tails and counts.
         self.bh_r = array("q", [-1] * B)
         self.bt_r = array("q", [-1] * B)
@@ -554,7 +561,11 @@ class PackedEngine(ControllerLink):
         stats = ctrl.stats
         arrivals = ctrl._arrivals
         in_flight = ctrl._in_flight
-        completed = ctrl.completed_requests
+        # CompletedRequests columns: appends straight to each.
+        (dn_arr, dn_cas, dn_fin, dn_ps, dn_pe, dn_as, dn_ae, dn_addr,
+         dn_id, dn_core, dn_rq, dn_flags) = [
+            c.append for c in ctrl.completed_requests.columns
+        ]
         refresh = ctrl._refresh
         refresh_kind = (
             0 if type(refresh) is AllBankRefresh
@@ -686,13 +697,28 @@ class PackedEngine(ControllerLink):
             while in_flight and in_flight[0][0] <= upto:
                 __, __, req = heappop(in_flight)
                 ctrl._completions.append(req)
-                completed.append(req)
+                dn_arr(req.arrival)
+                dn_cas(req.cas_issue)
+                dn_fin(req.finish)
+                dn_ps(req.own_pre_start)
+                dn_pe(req.own_pre_end)
+                dn_as(req.own_act_start)
+                dn_ae(req.own_act_end)
+                dn_addr(req.address)
+                dn_id(req.req_id)
+                dn_core(req.core_id)
+                dn_rq(req.requester_id)
+                flags = _PREFETCH if req.is_prefetch else 0
+                if req.forwarded:
+                    flags |= _FORWARDED
                 if req.req_type is _RT_READ:
                     stats.reads_completed += 1
                     is_read = True
                 else:
                     stats.writes_completed += 1
                     is_read = False
+                    flags |= _WRITE
+                dn_flags(flags)
                 if ev_complete:
                     event = RequestCompleted(
                         evnow, req.req_id, is_read, req.finish,
@@ -1836,6 +1862,9 @@ class PackedEngine(ControllerLink):
                             if note_service is not None:
                                 note_service(rq, f, now)
                             e_srv[ent] = 1
+                            # Served: the in-flight heap holds the
+                            # request from here on.
+                            e_req[ent] = None
                             if is_w:
                                 wq_n -= 1
                                 c = cnt_w[f] - 1

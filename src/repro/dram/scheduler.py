@@ -51,7 +51,9 @@ class RequestQueue:
     Requests are stored per bank in arrival order, additionally indexed by
     row so a row-hit candidate is found in O(1). Entries are removed lazily:
     :meth:`mark_served` flags the entry, and flagged entries are skipped and
-    dropped when they reach the head of a deque.
+    dropped when they reach the head of a deque. :meth:`mark_served` also
+    drops the flagged heads of the entry's own deques, so an emptied queue
+    holds no served request.
     """
 
     def __init__(self, num_banks: int) -> None:
@@ -95,10 +97,15 @@ class RequestQueue:
         if entry.served:
             return
         entry.served = True
-        self._bank_counts[entry.flat_bank] -= 1
-        if self._bank_counts[entry.flat_bank] == 0:
-            self._active_banks.discard(entry.flat_bank)
+        flat = entry.flat_bank
+        self._bank_counts[flat] -= 1
+        if self._bank_counts[flat] == 0:
+            self._active_banks.discard(flat)
         self._size -= 1
+        # The head queries pop served heads (and an emptied row deque).
+        self._head(self._global_fifo)
+        self._head(self._bank_fifo[flat])
+        self.oldest_row_hit(flat, entry.coords.row)
 
     # ------------------------------------------------------------------
     def _head(self, fifo: deque[QueuedRequest]) -> QueuedRequest | None:

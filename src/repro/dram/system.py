@@ -18,11 +18,14 @@ events on one shared :class:`~repro.core.events.EventBus`
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
 from typing import Sequence
 
 from repro.core.events import EventBus
 from repro.core.interfaces import CompositeMemory
 from repro.dram.commands import Request
+from repro.dram.components.accounting import CompletedRequests
 from repro.dram.controller import ControllerConfig, MemoryController
 from repro.errors import ConfigurationError
 from repro.stacks.bandwidth import BandwidthStackAccountant
@@ -151,13 +154,14 @@ class MemorySystem(CompositeMemory):
         return self.controllers[0].watchdog
 
     @property
-    def completed_requests(self) -> list[Request]:
+    def completed_requests(self) -> CompletedRequests:
         """Completed requests of all channels, in finish order."""
-        merged = [
-            r for mc in self.controllers for r in mc.completed_requests
-        ]
-        merged.sort(key=lambda r: r.finish)
-        return merged
+        return CompletedRequests(sorted(
+            chain.from_iterable(
+                mc.completed_requests for mc in self.controllers
+            ),
+            key=attrgetter("finish"),
+        ))
 
     @property
     def stats(self):
@@ -246,9 +250,7 @@ class MemorySystem(CompositeMemory):
         return combined
 
     @staticmethod
-    def _latency_reads(mc: MemoryController) -> list[Request]:
+    def _latency_reads(mc: MemoryController) -> CompletedRequests:
         """The reads a latency stack accounts (demand, served by DRAM)."""
-        return [
-            r for r in mc.completed_requests
-            if r.is_read and not r.is_prefetch and not r.forwarded
-        ]
+        done = mc.completed_requests
+        return done.select(done.reads(prefetch=False))

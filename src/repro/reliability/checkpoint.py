@@ -8,7 +8,7 @@ running to completion produces *bit-identical* stacks to an
 uninterrupted run — the checkpoint is taken between main-loop
 iterations, where the loop carries no hidden state.
 
-File format (version 3)::
+File format (version 4)::
 
     8 bytes   magic  b"REPROCKP"
     2 bytes   format version, big-endian
@@ -21,6 +21,9 @@ missing attributes and must be rejected up front. v3 event logs hold
 columnar timelines and owner columns
 (:class:`~repro.dram.components.accounting.Timeline`); a v2 payload's
 tuple lists would restore into a log the packed loop cannot append to.
+v4 controllers record their completed requests as typed columns
+(:class:`~repro.dram.components.accounting.CompletedRequests`); a v3
+payload's list of request objects has no columns to append to.
 
 ``meta`` records the cycle, next request id and package version; the
 request-id sequence is restored on load so requests created after a
@@ -37,7 +40,7 @@ from repro.dram.commands import request_id_state, restore_request_id_state
 from repro.errors import CheckpointError
 
 CHECKPOINT_MAGIC = b"REPROCKP"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 class ReplayableTrace:

@@ -34,6 +34,7 @@ aggregate counters.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from itertools import islice, repeat
 
@@ -321,8 +322,9 @@ class BandwidthStackAccountant:
         # --- 1. Data bursts -------------------------------------------
         # Entries are (start, end, is_write[, core_id]); offline logs
         # omit the core.
+        # Channel-idle gaps between bursts, as start and end columns.
         prev_end = 0
-        gaps: list[tuple[int, int]] = []
+        gap_starts, gap_ends = array("q"), array("q")
         bursts = zip(log.bursts, log.burst_owners)
         if not in_start_order(log.bursts):
             bursts = sorted(bursts)
@@ -337,11 +339,13 @@ class BandwidthStackAccountant:
                 # Clamp so the overlapped cycles are attributed once.
                 start = min(prev_end, end)
             if start > prev_end:
-                gaps.append((prev_end, min(start, total_cycles)))
+                gap_starts.append(prev_end)
+                gap_ends.append(min(start, total_cycles))
             add(owner, "write" if is_write else "read", start, end, n)
             prev_end = max(prev_end, end)
         if prev_end < total_cycles:
-            gaps.append((prev_end, total_cycles))
+            gap_starts.append(prev_end)
+            gap_ends.append(total_cycles)
 
         # --- 2. Per-bank state events ---------------------------------
         # Per-bank pre/act/cas/per-bank-refresh coverage is computed
@@ -450,7 +454,7 @@ class BandwidthStackAccountant:
                 add(victim, component, s, e, n)
 
         ptr = 0
-        for gap_start, gap_end in gaps:
+        for gap_start, gap_end in zip(gap_starts, gap_ends):
             if gap_start >= gap_end:
                 continue
             edges = {gap_start, gap_end}

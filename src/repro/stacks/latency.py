@@ -24,6 +24,11 @@ Per-requester stacks (:meth:`LatencyStackAccountant.account_requesters`)
 come from the same per-read walk: it additionally moves the queue cycles
 covered by *other* requesters' data bursts from ``queue`` to
 ``interference``.
+
+The walk reads the columns of a
+:class:`~repro.dram.components.accounting.CompletedRequests` record and
+builds no object per read; a list of requests (or of record rows)
+handed to an accountant becomes a record first.
 """
 
 from __future__ import annotations
@@ -31,7 +36,11 @@ from __future__ import annotations
 from itertools import chain, compress
 
 from repro.dram.commands import Request
-from repro.dram.components.accounting import EventLog, Timeline
+from repro.dram.components.accounting import (
+    CompletedRequests,
+    EventLog,
+    Timeline,
+)
 from repro.dram.timing import TimingSpec
 from repro.errors import AccountingError
 from repro.stacks import intervals as iv
@@ -107,7 +116,20 @@ class LatencyStackAccountant:
             raise AccountingError(
                 "latency stacks are built from completed reads only"
             )
-        arrival, cas, finish = request.arrival, request.cas_issue, request.finish
+        return self._parts(
+            request.arrival, request.cas_issue, request.finish,
+            request.own_pre_start, request.own_pre_end,
+            request.own_act_start, request.own_act_end,
+            refresh_windows, drain_windows, foreign,
+        )
+
+    def _parts(
+        self, arrival, cas, finish, pre_start, pre_end, act_start, act_end,
+        refresh_windows, drain_windows, foreign,
+    ) -> dict[str, float]:
+        """One read's components (see :meth:`decompose`), from its
+        arrival, CAS issue and finish cycles and its own precharge and
+        activate windows (start -1: none)."""
         base_dram = finish - cas
 
         # Each hierarchy level only allocates interval lists when its
@@ -131,14 +153,12 @@ class LatencyStackAccountant:
                 rest = iv.subtract(rest, in_drain)
                 drain_c = iv.total_length(in_drain)
         own_c = 0
-        pre_start = request.own_pre_start
-        act_start = request.own_act_start
         if pre_start >= 0 or act_start >= 0:
             own: list[tuple[int, int]] = []
             if pre_start >= 0:
-                own.append((pre_start, request.own_pre_end))
+                own.append((pre_start, pre_end))
             if act_start >= 0:
-                own.append((act_start, request.own_act_end))
+                own.append((act_start, act_end))
             own.sort()
             own_clipped = iv.clip(own, arrival, cas)
             if own_clipped:
@@ -168,29 +188,37 @@ class LatencyStackAccountant:
             parts["base"] = self.base_controller_cycles + base_dram
         return parts
 
-    def _counts(self, request: Request) -> bool:
-        """Whether `request` is a DRAM read the stacks average over."""
-        return (
-            request.is_read and not request.forwarded
-            and request.cas_issue >= 0
-            and (self.include_prefetch or not request.is_prefetch)
-        )
+    def _counted(self, done: CompletedRequests) -> list[bool]:
+        """Whether each row of `done` is a DRAM read the stacks average
+        over."""
+        return [
+            read and cas >= 0
+            for read, cas in zip(
+                done.reads(self.include_prefetch), done.cas_issue
+            )
+        ]
 
     @paused_gc
     def account(
         self,
-        requests: list[Request],
+        requests: CompletedRequests | list[Request],
         refresh_windows: list[tuple[int, int]],
         drain_windows: list[tuple[int, int]],
         label: str = "",
     ) -> Stack:
         """Average latency stack over all DRAM reads, in nanoseconds."""
-        reads = [r for r in requests if self._counts(r)]
-        return self._mean(reads, refresh_windows, drain_windows, label)
+        done = _as_record(requests)
+        return self._mean(
+            _reads(done, self._counted(done)),
+            refresh_windows, drain_windows, label,
+        )
 
     @paused_gc
     def account_requesters(
-        self, requests: list[Request], log: EventLog, label: str = ""
+        self,
+        requests: CompletedRequests | list[Request],
+        log: EventLog,
+        label: str = "",
     ) -> dict[int, Stack]:
         """Average latency stacks per requester, in nanoseconds.
 
@@ -199,10 +227,9 @@ class LatencyStackAccountant:
         ``interference``. With one requester ``interference`` is zero
         and the stack is the aggregate's.
         """
-        reads: dict[int, list[Request]] = {}
-        for request in requests:
-            if self._counts(request):
-                reads.setdefault(request.requester_id, []).append(request)
+        done = _as_record(requests)
+        counted = self._counted(done)
+        requesters = set(compress(done.requester_id, counted))
         refresh = refresh_windows_for_latency(log)
         # Burst (start, end) and owner columns in time order.
         bursts = log.bursts
@@ -217,7 +244,7 @@ class LatencyStackAccountant:
                 for column in (starts, ends, owners)
             )
         stacks: dict[int, Stack] = {}
-        for requester in sorted(reads):
+        for requester in sorted(requesters):
             others = [
                 owner != requester and owner != SHARED_REQUESTER
                 for owner in owners
@@ -225,30 +252,44 @@ class LatencyStackAccountant:
             foreign = Timeline()
             foreign.starts.extend(compress(starts, others))
             foreign.ends.extend(compress(ends, others))
+            mine = [
+                read and owner == requester
+                for read, owner in zip(counted, done.requester_id)
+            ]
             stacks[requester] = self._mean(
-                reads[requester], refresh, log.drain_windows,
+                _reads(done, mine), refresh, log.drain_windows,
                 f"{label}R{requester}", foreign,
             )
         return stacks
 
     def _mean(
         self,
-        reads: list[Request],
+        reads,
         refresh_windows: list[tuple[int, int]],
         drain_windows: list[tuple[int, int]],
         label: str,
         foreign=None,
     ) -> Stack:
-        """Average of the reads' checked decompositions, in ns."""
+        """Average of the reads' checked decompositions, in ns.
+
+        `reads` yields one ``(req_id, arrival, cas_issue, finish,
+        own_pre_start, own_pre_end, own_act_start, own_act_end)`` tuple
+        per read (see :func:`_reads`).
+        """
         components = self.components
         if foreign is not None:
             components = (*components[:-1], "interference", "queue")
-        if not reads:
-            return ordered_stack({}, components, unit="ns", label=label)
         sums = dict.fromkeys(components, 0.0)
-        for request in reads:
-            parts = self.decompose(
-                request, refresh_windows, drain_windows, foreign
+        parts_of = self._parts
+        count = 0
+        for (
+            req_id, arrival, cas, finish, pre_start, pre_end,
+            act_start, act_end,
+        ) in reads:
+            count += 1
+            parts = parts_of(
+                arrival, cas, finish, pre_start, pre_end, act_start,
+                act_end, refresh_windows, drain_windows, foreign,
             )
             negatives = [
                 name for name, value in parts.items() if value < -1e-9
@@ -256,16 +297,13 @@ class LatencyStackAccountant:
             if negatives:
                 message = (
                     f"negative latency component(s) {negatives} for "
-                    f"request {request.req_id} "
-                    f"(arrival {request.arrival}, cas {request.cas_issue})"
+                    f"request {req_id} (arrival {arrival}, cas {cas})"
                 )
                 self._violation(
                     "latency-negative", message,
                     repair=lambda p=parts: _repair_parts(p),
                 )
-            measured = (
-                request.finish - request.arrival + self.base_controller_cycles
-            )
+            measured = finish - arrival + self.base_controller_cycles
             drift = sum(parts.values()) - measured
             if abs(drift) > 1e-9:
                 message = (
@@ -280,7 +318,9 @@ class LatencyStackAccountant:
                 )
             for name, value in parts.items():
                 sums[name] += value
-        scale = self.spec.cycle_ns / len(reads)
+        if not count:
+            return ordered_stack({}, components, unit="ns", label=label)
+        scale = self.spec.cycle_ns / count
         return ordered_stack(
             {name: value * scale for name, value in sums.items()},
             components,
@@ -288,9 +328,10 @@ class LatencyStackAccountant:
             label=label,
         )
 
+    @paused_gc
     def account_series(
         self,
-        requests: list[Request],
+        requests: CompletedRequests | list[Request],
         refresh_windows: list[tuple[int, int]],
         drain_windows: list[tuple[int, int]],
         total_cycles: int,
@@ -299,19 +340,36 @@ class LatencyStackAccountant:
     ) -> StackSeries:
         """Through-time latency stacks, binned by read completion time."""
         num_bins = -(-total_cycles // bin_cycles)
-        buckets: list[list[Request]] = [[] for _ in range(num_bins)]
-        for request in requests:
-            if not self._counts(request):
-                continue
-            b = min(request.finish // bin_cycles, num_bins - 1)
-            buckets[b].append(request)
+        buckets: list[list[tuple]] = [[] for _ in range(num_bins)]
+        done = _as_record(requests)
+        for read in _reads(done, self._counted(done)):
+            b = min(read[3] // bin_cycles, num_bins - 1)
+            buckets[b].append(read)
         stacks = [
-            self.account(
+            self._mean(
                 bucket, refresh_windows, drain_windows, f"{label}[{b}]"
             )
             for b, bucket in enumerate(buckets)
         ]
         return StackSeries(stacks, bin_cycles, self.spec.cycle_ns, label=label)
+
+
+def _as_record(requests) -> CompletedRequests:
+    """`requests` as a record: a list of requests or rows becomes one."""
+    if isinstance(requests, CompletedRequests):
+        return requests
+    return CompletedRequests(requests)
+
+
+def _reads(done: CompletedRequests, keep):
+    """The latency walk's per-read tuples of the rows `keep` selects:
+    ``(req_id, arrival, cas_issue, finish, own_pre_start, own_pre_end,
+    own_act_start, own_act_end)``."""
+    return compress(zip(
+        done.req_id, done.arrival, done.cas_issue, done.finish,
+        done.own_pre_start, done.own_pre_end,
+        done.own_act_start, done.own_act_end,
+    ), keep)
 
 
 def _repair_parts(parts: dict[str, float]) -> None:
@@ -358,7 +416,7 @@ def refresh_windows_for_latency(log) -> list[tuple[int, int]]:
 
 
 def latency_stack_from_requests(
-    requests: list[Request],
+    requests: CompletedRequests | list[Request],
     log,
     spec: TimingSpec,
     base_controller_cycles: int = 0,

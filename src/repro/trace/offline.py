@@ -17,6 +17,7 @@ from __future__ import annotations
 from repro.devices import DEVICES
 from repro.dram.controller import EventLog, MemoryController
 from repro.dram.commands import CommandType
+from repro.dram.components.accounting import FORWARDED, IS_WRITE
 from repro.dram.rank import BlockScope
 from repro.dram.timing import DDR4_2400, DDR5_4800, DDR4_3200, TimingSpec
 from repro.errors import TraceFormatError
@@ -68,14 +69,17 @@ def capture_trace(controller: MemoryController) -> TraceFile:
         spec_name=controller.spec.name,
         total_cycles=controller.now,
     )
-    for request in controller.completed_requests:
-        if request.forwarded:
+    done = controller.completed_requests
+    for arrival, flags, address, req_id in zip(
+        done.arrival, done.flags, done.address, done.req_id
+    ):
+        if flags & FORWARDED:
             continue
         trace.requests.append(RequestRecord(
-            arrival=request.arrival,
-            is_write=request.is_write,
-            address=request.address,
-            req_id=request.req_id,
+            arrival=arrival,
+            is_write=bool(flags & IS_WRITE),
+            address=address,
+            req_id=req_id,
         ))
     for command in controller.log.commands:
         trace.commands.append(CommandRecord(

@@ -6,6 +6,7 @@ stacks of the uninterrupted run.
 """
 
 import os
+from types import SimpleNamespace
 
 import pytest
 
@@ -157,6 +158,22 @@ class TestFileFormat:
         path = tmp_path / "future.repro"
         path.write_bytes(CHECKPOINT_MAGIC + (99).to_bytes(2, "big") + b"x")
         with pytest.raises(CheckpointError, match="v99"):
+            load_checkpoint(str(path))
+
+    def test_v3_payload_rejected(self, tmp_path):
+        # v3 controllers pickled completed requests as a list of
+        # request objects; v4 holds them as columns.
+        assert CHECKPOINT_VERSION == 4
+        path = tmp_path / "ckpt.repro"
+        save_checkpoint(
+            SimpleNamespace(memory=SimpleNamespace(now=0)), str(path)
+        )
+        blob = path.read_bytes()
+        head = len(CHECKPOINT_MAGIC)
+        path.write_bytes(
+            blob[:head] + (3).to_bytes(2, "big") + blob[head + 2:]
+        )
+        with pytest.raises(CheckpointError, match="v3 is not supported"):
             load_checkpoint(str(path))
 
     def test_corrupt_payload(self, tmp_path):
